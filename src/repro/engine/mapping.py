@@ -9,9 +9,10 @@ handful of sorted buckets that can intersect it.  This module is the
 software analogue of that datapath:
 
 * :func:`knn` — expanding-shell search over the bucket grid.  Each round
-  merges one more Chebyshev shell of buckets into the per-query candidate
-  list; a query retires once its ``k``-th candidate is provably closer
-  than any unscanned bucket.
+  merges one more Chebyshev shell of buckets into every query's own
+  top-``k`` (a per-row selection, never one global sort); a query
+  retires once its ``k``-th candidate is provably closer than any
+  unscanned bucket.
 * :func:`ball_query` — single-shell merge with the cell size tied to the
   query radius, capped at ``max_samples`` per query.
 * :func:`farthest_point_sample` — the inherently sequential greedy picker,
@@ -20,9 +21,9 @@ software analogue of that datapath:
   ``(queries, k, channels)`` feature stacks.
 
 Every operator returns a typed :class:`MappingResult` and is bit-identical
-to its ``*_bruteforce`` reference: both paths evaluate squared distances
-with the same elementwise expression, order candidates by ``(d^2, point
-index)``, and pad short rows with ``-1`` indices / ``inf`` distances.
+to its ``*_bruteforce`` reference: both paths sum squared distances in
+the same order, order candidates by ``(d^2, point index)``, and pad
+short rows with ``-1`` indices / ``inf`` distances.
 Integer inputs (voxel coordinates) are widened to float64 — exact for the
 21-bit grids the packing supports — so cached results can be delta-spliced
 (:mod:`repro.engine.mapping_delta`) without precision drift.
@@ -35,10 +36,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.sparse.hashmap import pack_coords
+from repro.sparse.hashmap import _AXIS_BITS, pack_coords
 
 #: Cap on grid cells per axis; keeps packed keys in range and bounds the
-#: cell-assignment rounding slop well inside the 0.5-cell retirement margin.
+#: cell-assignment rounding slop the kNN retirement margin must absorb
+#: (see :func:`_shell_reach`).
 _MAX_CELLS_F64 = 1 << 20
 _MAX_CELLS_F32 = 1 << 12
 
@@ -50,7 +52,7 @@ class MappingStats:
     ``candidates`` counts (query, point) distance evaluations — the merge
     phase's work; ``matches`` counts valid entries in the result — the
     gather phase's work; ``cells`` is the occupied-bucket count of the
-    sort phase; ``shells`` the number of Chebyshev shells merged (kNN).
+    sort phase; ``shells`` the outermost Chebyshev shell merged (kNN).
     """
 
     op: str
@@ -98,13 +100,24 @@ def as_point_array(points) -> np.ndarray:
     return np.ascontiguousarray(pts)
 
 
-def _pair_distances(
-    queries: np.ndarray, qidx: np.ndarray, points: np.ndarray, cand: np.ndarray
-) -> np.ndarray:
-    """Squared distances for candidate pairs, elementwise-identical to
-    :func:`_distance_matrix` so bucket and brute-force paths agree bitwise."""
-    diff = queries[qidx] - points[cand]
-    return (diff * diff).sum(axis=1)
+def _squared_distances(a, b) -> np.ndarray:
+    """Squared distances between per-axis coordinate stacks ``a`` and ``b``
+    (``a[0]`` holds x values, ...), broadcasting like ``a[i] - b[i]``.
+
+    ``dx*dx + dy*dy + dz*dz`` adds left to right, which is exactly the
+    order :func:`_distance_matrix` reduces its length-3 axis in, so bucket
+    and brute-force paths agree bitwise; working on column vectors avoids
+    the strided ``(M, 3)`` row reduction.
+    """
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    dz = a[2] - b[2]
+    return dx * dx + dy * dy + dz * dz
+
+
+def _columns(points: np.ndarray) -> np.ndarray:
+    """``(3, N)`` contiguous per-axis layout of ``(N, 3)`` rows."""
+    return np.ascontiguousarray(points.T)
 
 
 def _distance_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -112,18 +125,34 @@ def _distance_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2)
 
 
-def _cube_offsets(radius: int) -> np.ndarray:
-    axis = np.arange(-radius, radius + 1, dtype=np.int64)
-    grid = np.meshgrid(axis, axis, axis, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, 3)
+def _offset_keys(offsets: np.ndarray) -> np.ndarray:
+    """Signed packed-key deltas of cell offsets (``pack_coords`` layout)."""
+    weights = np.array([1 << (2 * _AXIS_BITS), 1 << _AXIS_BITS, 1], dtype=np.int64)
+    return offsets @ weights
 
 
-def _shell_offsets(radius: int) -> np.ndarray:
-    """Cells at Chebyshev distance exactly ``radius`` (the full cube at 1)."""
-    cube = _cube_offsets(radius)
+def _shell_offsets(radius: int, ncells: np.ndarray) -> np.ndarray:
+    """Cells at Chebyshev distance exactly ``radius`` (the full cube at 1)
+    that can lie inside a grid of ``ncells`` cells per axis.
+
+    An offset reaching ``ncells[a]`` or more along an axis leaves the
+    grid from every center, so each axis range is clipped to
+    ``ncells[a] - 1``: a flat or thin cloud walks a flat or thin shell.
+    """
+    reach = np.minimum(radius, ncells - 1)
+    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in reach]
+    cube = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     if radius <= 1:
         return cube
     return cube[np.abs(cube).max(axis=1) == radius]
+
+
+def _shell_size(radius: int, ncells: np.ndarray) -> int:
+    """``len(_shell_offsets(radius, ncells))`` without building it."""
+    outer = int(np.prod(2 * np.minimum(radius, ncells - 1) + 1))
+    if radius <= 1:
+        return outer
+    return outer - int(np.prod(2 * np.minimum(radius - 1, ncells - 1) + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +164,7 @@ class _BucketGrid:
     ncells: np.ndarray
     order: np.ndarray
     cell_keys: np.ndarray
+    cells: np.ndarray
     starts: np.ndarray
 
     @property
@@ -172,8 +202,14 @@ def _build_grid(points: np.ndarray, cell_size: float) -> _BucketGrid:
         ncells=ncells,
         order=order,
         cell_keys=sorted_keys[boundaries],
+        cells=cells[order[boundaries]],
         starts=starts,
     )
+
+
+def _scaled(grid: _BucketGrid, queries: np.ndarray) -> np.ndarray:
+    """Query coordinates in cell units from the grid origin."""
+    return (queries - grid.origin) / queries.dtype.type(grid.cell_size)
 
 
 def _query_cells(grid: _BucketGrid, queries: np.ndarray) -> np.ndarray:
@@ -184,91 +220,217 @@ def _query_cells(grid: _BucketGrid, queries: np.ndarray) -> np.ndarray:
     any clamped axis the query lies strictly outside the grid, so points
     in unscanned cells are even farther than the in-grid bound promises.
     """
-    scaled = np.floor((queries - grid.origin) / queries.dtype.type(grid.cell_size))
     top = (grid.ncells - 1).astype(np.float64)
-    return np.clip(scaled, 0.0, top).astype(np.int64)
+    return np.clip(np.floor(_scaled(grid, queries)), 0.0, top).astype(np.int64)
+
+
+def _shell_reach(
+    grid: _BucketGrid, queries: np.ndarray, centers: np.ndarray, point_dtype
+) -> np.ndarray:
+    """Per-query ``m_q - eps``, in cells, of the kNN retirement bound.
+
+    After merging shell ``s`` a query centered on cell ``c`` has scanned
+    every cell within Chebyshev distance ``s`` of ``c``; an unscanned
+    point's cell ``c'`` has ``|c'_a - c_a| >= s + 1`` on some axis ``a``.
+    In cell units ``t = (x - origin) / cell_size`` such a point has
+    ``t_a >= c_a + s + 1`` (or ``t_a < c_a - s``) while the query has
+    ``c_a <= t_a < c_a + 1``, so it lies at least ``s + (c_a + 1 - t_a)``
+    (or ``s + (t_a - c_a)``) cells away along ``a``.  Every unscanned
+    point is thus at distance ``>= (s + m_q) * cell_size`` with
+    ``m_q = min_a min(t_a - c_a, c_a + 1 - t_a)`` clipped at 0.  The clip
+    covers clamped queries: on a clamped axis no cell lies beyond the
+    query, and the cells on the other side are farther than ``s`` cells.
+
+    Rounding.  Let ``u`` be the unit roundoff of the coarser input dtype
+    and ``M`` the per-axis cell cap.  Every cell-unit value the argument
+    compares is below ``2M`` (``c + s + 1 < 2M``).  Each computed ``t``
+    carries three roundings (difference, dtype-rounded cell size,
+    quotient), at most ``6Mu`` cells apiece for the point and the query;
+    the squared distance (difference, square, monotone sum) and the
+    bound's own float64 evaluation shrink the distance by less than
+    ``7Mu`` cells more.  ``eps = 32Mu`` covers the ``< 19Mu`` total:
+    ``2^-7`` of a cell for float32 (``M = 2^12, u = 2^-24``) and
+    ``2^-28`` for float64 (``M = 2^20, u = 2^-53``).  A query whose k-th
+    distance is strictly below ``((s + m_q - eps) * cell_size)^2``
+    therefore has no unscanned point that could beat or tie it.
+    """
+    offset = _scaled(grid, queries) - centers
+    gap = np.maximum(np.minimum(offset, 1.0 - offset).min(axis=1), 0.0)
+    unit = max(np.finfo(point_dtype).eps, np.finfo(queries.dtype).eps) / 2.0
+    return gap - 32.0 * _max_cells(point_dtype) * unit
+
+
+def _shell_buckets(
+    grid: _BucketGrid, centers: np.ndarray, shell: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Occupied buckets at Chebyshev distance ``shell`` from each center
+    (the whole 27-cell cube at 1), as ``(center, bucket)`` pairs grouped
+    by center, plus the next shell holding any occupied bucket.
+
+    A shell has ``~24 shell^2`` cells but a grid only ``num_cells``
+    occupied ones; whichever list is shorter is walked.  Near shells
+    look up each offset cell's key; a wide shell — a query far from the
+    cloud, or in a sparse or thin region — scans the occupied cells'
+    Chebyshev distances instead, so its cost stops growing with the
+    shell, and the scan names the next non-empty shell so empty ones
+    are skipped.
+    """
+    if _shell_size(shell, grid.ncells) > grid.num_cells:
+        gap = np.abs(centers[:, None, :] - grid.cells[None, :, :]).max(axis=2)
+        owner, bucket = np.nonzero(gap <= 1 if shell == 1 else gap == shell)
+        beyond = gap[gap > shell]
+        following = int(beyond.min()) if beyond.size else int(grid.ncells.max())
+        return owner, bucket, following
+    offsets = _shell_offsets(shell, grid.ncells)
+    # Unsigned views fold both bounds into one compare; inside the grid a
+    # packed key is linear in its cell, so keys add center and offset.
+    cells = centers[:, None, :] + offsets[None, :, :]
+    inside = (cells.view(np.uint64) < grid.ncells.astype(np.uint64)).all(axis=2)
+    keys = np.where(
+        inside, pack_coords(centers)[:, None] + _offset_keys(offsets)[None, :], -1
+    )
+    pos = np.minimum(np.searchsorted(grid.cell_keys, keys), grid.num_cells - 1)
+    owner, slot = np.nonzero(inside & (grid.cell_keys[pos] == keys))
+    return owner, pos[owner, slot], shell + 1
 
 
 def _gather_candidates(
-    grid: _BucketGrid, centers: np.ndarray, offsets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge the buckets at ``centers + offsets`` into flat candidate pairs.
+    grid: _BucketGrid, centers: np.ndarray, shell: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Merge the buckets of shell ``shell`` around ``centers`` into flat
+    candidate pairs.
 
-    Returns ``(qidx, cand)``: for every (local) query, the indices of all
-    points whose cell is one of its offset cells.  Cells outside the grid
-    contribute nothing; each (query, point) pair appears at most once
-    because offset cells are distinct per query.
+    Returns ``(qidx, cand, following)``: for every (local) query, the
+    indices of all points whose cell is in its shell, grouped by query,
+    and the next shell in which any of these centers has an occupied
+    bucket (every shell between is empty for all of them).  Each (query,
+    point) pair appears at most once because shell cells are distinct
+    per query.  Queries sharing a center cell share its bucket list, so
+    buckets are found once per distinct center and the list is then
+    replicated per query.
     """
     num_queries = len(centers)
-    if num_queries == 0 or grid.num_cells == 0 or len(offsets) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    cells = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-    inside = ((cells >= 0) & (cells < grid.ncells[None, :])).all(axis=1)
-    keys = np.full(len(cells), -1, dtype=np.int64)
-    keys[inside] = pack_coords(cells[inside])
-    pos = np.searchsorted(grid.cell_keys, keys)
-    pos = np.minimum(pos, grid.num_cells - 1)
-    found = inside & (grid.cell_keys[pos] == keys)
-    bucket_start = np.where(found, grid.starts[pos], 0)
-    counts = np.where(found, grid.starts[pos + 1], 0) - bucket_start
-    total = int(counts.sum())
+    empty = np.empty(0, dtype=np.int64)
+    if num_queries == 0 or grid.num_cells == 0:
+        return empty, empty, shell + 1
+    _, first, inverse = np.unique(
+        pack_coords(centers), return_index=True, return_inverse=True
+    )
+    owner, bucket, following = _shell_buckets(grid, centers[first], shell)
+    counts = grid.starts[bucket + 1] - grid.starts[bucket]
+    # Sorted-order positions of every distinct center's candidates.
+    runs = np.repeat(grid.starts[bucket] - (np.cumsum(counts) - counts), counts)
+    center_cand = grid.order[runs + np.arange(len(runs), dtype=np.int64)]
+    per_center = np.bincount(owner, weights=counts, minlength=len(first))
+    per_center = per_center.astype(np.int64)
+    per_query = per_center[inverse]
+    total = int(per_query.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    per_query = counts.reshape(num_queries, -1).sum(axis=1)
+        return empty, empty, following
     qidx = np.repeat(np.arange(num_queries, dtype=np.int64), per_query)
-    seg_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, counts)
-    cand = grid.order[np.repeat(bucket_start, counts) + within]
-    return qidx, cand
+    shift = (np.cumsum(per_center) - per_center)[inverse] - (
+        np.cumsum(per_query) - per_query
+    )
+    cand = center_cand[np.repeat(shift, per_query) + np.arange(total)]
+    return qidx, cand, following
 
 
-def _knn_cell_size(points: np.ndarray, k: int) -> float:
-    """Cell size targeting O(k) points per 27-cell neighborhood.
+def _knn_grid(points: np.ndarray, k: int) -> _BucketGrid:
+    """Bucket grid whose occupied buckets hold about ``k / 4`` points.
 
-    One density estimate from the bounding box, then a bounded number of
-    refinements against the *measured* bucket population so lower-
-    dimensional clouds (surfaces, lines) converge too.
+    At ``k / 4`` per bucket a 27-cell shell holds a few ``k`` candidates
+    and, with :func:`_shell_reach`'s bound, most queries retire after
+    one or two shells; fuller buckets merge more candidates than the
+    saved shells are worth.  The population is averaged per occupied
+    bucket, so duplicated points, which no cell size can split, do not
+    drive the cells down to the cap.  One density estimate from the
+    bounding box, then a bounded number of refinements (accepted within
+    a factor of two) against the *measured* population so
+    lower-dimensional clouds (surfaces, lines) converge too.
     """
     extent = points.max(axis=0) - points.min(axis=0)
     span = float(extent.max())
     if span <= 0.0:
-        return 1.0
+        return _build_grid(points, 1.0)
     floor_size = span / float(_max_cells(points.dtype))
     volume = float(np.prod(np.maximum(extent, span * 1e-3)))
-    target = max(1.0, float(k))
+    target = max(1.0, 0.25 * float(k))
     size = max(floor_size, (volume * target / float(len(points))) ** (1.0 / 3.0))
-    for _ in range(2):
+    for _ in range(3):
         grid = _build_grid(points, size)
         mean = grid.mean_population()
-        if mean <= 0.0 or 0.25 * target <= mean <= 4.0 * target:
+        if mean <= 0.0 or 0.5 * target <= mean <= 2.0 * target:
             break
         size = max(floor_size, size * float((target / mean) ** (1.0 / 3.0)))
-    return min(size, span)
+    size = min(size, span)
+    return grid if grid.cell_size == size else _build_grid(points, size)
 
 
-def _topk_rows(
+def _row_kth(
+    prev_d: np.ndarray, qidx: np.ndarray, d2: np.ndarray, k: int
+) -> np.ndarray:
+    """Each row's k-th smallest distance over its kept ``prev_d`` entries
+    and its new candidates ``d2`` (grouped by row ``qidx``).
+
+    Rows are banded by candidate count into power-of-two widths, and each
+    band takes a per-row ``np.partition`` of its padded ``(rows, k +
+    width)`` table, so padding never exceeds the band's own candidates:
+    one crowded row cannot widen every other row's table.
+    """
+    rows = len(prev_d)
+    counts = np.bincount(qidx, minlength=rows)
+    seg_starts = np.cumsum(counts) - counts
+    col = k + np.arange(len(qidx), dtype=np.int64) - seg_starts[qidx]
+    band = np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64)
+    cand_band = band[qidx]
+    slot = np.empty(rows, dtype=np.int64)
+    kth = np.empty(rows, dtype=prev_d.dtype)
+    for level in np.unique(band):
+        members = np.flatnonzero(band == level)
+        slot[members] = np.arange(len(members), dtype=np.int64)
+        width = k + (1 << int(level))
+        table = np.full((len(members), width), np.inf, dtype=prev_d.dtype)
+        table[:, :k] = prev_d[members]
+        hit = cand_band == level
+        table[slot[qidx[hit]], col[hit]] = d2[hit]
+        kth[members] = np.partition(table, k - 1, axis=1)[:, k - 1]
+    return kth
+
+
+def _merge_topk(
+    prev_i: np.ndarray,
+    prev_d: np.ndarray,
     qidx: np.ndarray,
     cand: np.ndarray,
     d2: np.ndarray,
-    num_queries: int,
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sort candidate pairs by ``(query, d^2, index)`` and keep each
-    query's first ``k``.  Returns the kept ``(qidx, cand, d2, rank)`` plus
-    each query's k-th distance (``inf`` while fewer than ``k`` kept)."""
-    order = np.lexsort((cand, d2, qidx))
-    sq, sc, sd = qidx[order], cand[order], d2[order]
-    counts = np.bincount(sq, minlength=num_queries)
-    seg_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge one shell's candidate pairs into each row's running top-k.
+
+    ``prev_i`` / ``prev_d`` are the ``(P, k)`` rows kept so far (``-1`` /
+    ``inf`` padded); ``(qidx, cand, d2)`` are the shell's pairs, grouped
+    by row.  Only entries at or below the row's k-th distance (ties
+    included) are sorted by ``(row, d^2, index)`` — about ``k`` per row —
+    and the first ``k`` kept.  Returns the merged rows and each row's
+    k-th distance (``inf`` while fewer than ``k`` are known).
+    """
+    rows, k = prev_i.shape
+    kth = _row_kth(prev_d, qidx, d2, k)
+    old = (prev_i >= 0) & (prev_d <= kth[:, None])
+    new = d2 <= kth[qidx]
+    sq = np.concatenate([np.nonzero(old)[0], qidx[new]])
+    sc = np.concatenate([prev_i[old], cand[new]])
+    sd = np.concatenate([prev_d[old], d2[new]])
+    order = np.lexsort((sc, sd, sq))
+    sq, sc, sd = sq[order], sc[order], sd[order]
+    counts = np.bincount(sq, minlength=rows)
+    seg_starts = np.cumsum(counts) - counts
     rank = np.arange(len(sq), dtype=np.int64) - seg_starts[sq]
     keep = rank < k
-    sq, sc, sd, rank = sq[keep], sc[keep], sd[keep], rank[keep]
-    kth = np.full(num_queries, np.inf)
-    last = rank == (k - 1)
-    kth[sq[last]] = sd[last]
-    return sq, sc, sd, rank, kth
+    merged_i = np.full((rows, k), -1, dtype=np.int64)
+    merged_d = np.full((rows, k), np.inf, dtype=prev_d.dtype)
+    merged_i[sq[keep], rank[keep]] = sc[keep]
+    merged_d[sq[keep], rank[keep]] = sd[keep]
+    return merged_i, merged_d, kth
 
 
 def knn(points, queries=None, *, k: int) -> MappingResult:
@@ -277,7 +439,10 @@ def knn(points, queries=None, *, k: int) -> MappingResult:
     ``queries=None`` queries the point set against itself (every point is
     then its own nearest neighbor at distance 0).  Ties at equal squared
     distance resolve to the smaller point index; rows with fewer than
-    ``k`` reachable points pad with ``-1`` / ``inf``.
+    ``k`` reachable points pad with ``-1`` / ``inf``.  Each round merges
+    one more Chebyshev shell into every pending query's own top-k
+    (:func:`_merge_topk`) and retires the queries whose k-th distance
+    beats the :func:`_shell_reach` bound on every unscanned point.
     """
     pts = as_point_array(points)
     qs = pts if queries is None else as_point_array(queries)
@@ -285,46 +450,41 @@ def knn(points, queries=None, *, k: int) -> MappingResult:
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     num_queries, num_points = len(qs), len(pts)
-    indices = np.full((num_queries, k), -1, dtype=np.int64)
-    dists = np.full((num_queries, k), np.inf, dtype=pts.dtype)
     counts = np.full(num_queries, min(k, num_points), dtype=np.int64)
     if num_queries == 0 or num_points == 0 or k == 0:
+        indices = np.full((num_queries, k), -1, dtype=np.int64)
+        dists = np.full((num_queries, k), np.inf, dtype=pts.dtype)
         stats = MappingStats("knn", "bucket", num_points, num_queries, 0, 0, 0, 0)
         return MappingResult(indices, dists, counts, None, stats)
 
-    cell_size = _knn_cell_size(pts, k)
-    grid = _build_grid(pts, cell_size)
+    grid = _knn_grid(pts, k)
     centers = _query_cells(grid, qs)
+    reach = _shell_reach(grid, qs, centers, pts.dtype)
+    q_cols, p_cols = _columns(qs), _columns(pts)
+    indices = np.full((num_queries, k), -1, dtype=np.int64)
+    dists = np.full((num_queries, k), np.inf, dtype=np.result_type(pts, qs))
     max_shell = int(grid.ncells.max())
     pending = np.arange(num_queries, dtype=np.int64)
-    acc_q = np.empty(0, dtype=np.int64)
-    acc_c = np.empty(0, dtype=np.int64)
-    acc_d = np.empty(0, dtype=pts.dtype)
     examined = 0
-    shell = 1
+    scanned, shell = 0, 1
     while pending.size:
-        local_q, cand = _gather_candidates(
-            grid, centers[pending], _shell_offsets(shell)
+        local_q, cand, following = _gather_candidates(
+            grid, centers[pending], shell
         )
         examined += len(cand)
-        acc_q = np.concatenate([acc_q, pending[local_q]])
-        acc_c = np.concatenate([acc_c, cand])
-        acc_d = np.concatenate([acc_d, _pair_distances(qs, pending[local_q], pts, cand)])
-        sq, sc, sd, rank, kth = _topk_rows(acc_q, acc_c, acc_d, num_queries, k)
-        # Unscanned buckets lie at Chebyshev distance > shell, hence at
-        # Euclidean distance >= shell * cell_size; the half-cell margin
-        # absorbs cell-assignment rounding.
-        limit = ((shell - 0.5) * grid.cell_size) ** 2
-        done = (kth[pending] < limit) | (shell >= max_shell)
-        retired = pending[done]
-        if retired.size:
-            emit = np.isin(sq, retired)
-            indices[sq[emit], rank[emit]] = sc[emit]
-            dists[sq[emit], rank[emit]] = sd[emit]
+        d2 = _squared_distances(
+            np.take(q_cols[:, pending], local_q, axis=1),
+            np.take(p_cols, cand, axis=1),
+        )
+        rows_i, rows_d, kth = _merge_topk(
+            indices[pending], dists[pending], local_q, cand, d2
+        )
+        indices[pending] = rows_i
+        dists[pending] = rows_d
+        radius = np.maximum(shell + reach[pending], 0.0) * grid.cell_size
+        done = (kth < radius * radius) | (shell >= max_shell)
         pending = pending[~done]
-        live = np.isin(sq, pending)
-        acc_q, acc_c, acc_d = sq[live], sc[live], sd[live]
-        shell += 1
+        scanned, shell = shell, following
     stats = MappingStats(
         "knn",
         "bucket",
@@ -333,9 +493,11 @@ def knn(points, queries=None, *, k: int) -> MappingResult:
         examined,
         int((indices >= 0).sum()),
         grid.num_cells,
-        shell - 1,
+        scanned,
     )
-    return MappingResult(indices, dists, counts, None, stats)
+    return MappingResult(
+        indices, dists.astype(pts.dtype, copy=False), counts, None, stats
+    )
 
 
 def knn_bruteforce(points, queries=None, *, k: int) -> MappingResult:
@@ -423,9 +585,11 @@ def ball_query(points, queries=None, *, radius: float, max_samples: int) -> Mapp
     floor_size = span / float(_max_cells(pts.dtype)) if span > 0 else 1.0
     cell_size = max(radius, floor_size)
     grid = _build_grid(pts, cell_size)
-    qidx, cand = _gather_candidates(grid, _query_cells(grid, qs), _cube_offsets(1))
+    qidx, cand, _ = _gather_candidates(grid, _query_cells(grid, qs), 1)
     examined = len(cand)
-    d2 = _pair_distances(qs, qidx, pts, cand)
+    d2 = _squared_distances(
+        np.take(_columns(qs), qidx, axis=1), np.take(_columns(pts), cand, axis=1)
+    )
     within = d2 <= radius * radius
     qidx, cand, d2 = qidx[within], cand[within], d2[within]
     order = np.lexsort((cand, qidx))
@@ -503,15 +667,14 @@ def farthest_point_sample(points, num_samples: int) -> MappingResult:
     take = min(num_samples, num_points)
     examined = 0
     if take > 0:
+        cols = _columns(pts)
         indices[0] = 0
-        seed_diff = pts - pts[0]
-        best = (seed_diff * seed_diff).sum(axis=1)
+        best = _squared_distances(cols, pts[0])
         examined = num_points
         for step in range(1, take):
             far = int(np.argmax(best))
             indices[step] = far
-            diff = pts - pts[far]
-            best = np.minimum(best, (diff * diff).sum(axis=1))
+            np.minimum(best, _squared_distances(cols, pts[far]), out=best)
             examined += num_points
     counts = np.asarray([take], dtype=np.int64)
     stats = MappingStats(

@@ -18,7 +18,9 @@ frames —
 * ``EXECUTE_BATCH`` runs one ``run_batch`` digest group and returns the
   stacked output features, bit-identical to in-process execution (the
   worker reconstructs frames exactly like the process-pool worker of
-  :mod:`repro.engine.backend` and runs the fused numpy engine).
+  :mod:`repro.engine.backend` and runs the scipy CSR backend, which is
+  bit-identical to the fused numpy engine and falls back to it when
+  scipy is not installed).
 * ``HEALTH`` reports liveness and warmth (known digests, prepared
   plans, served counters) without touching the compute path.
 * ``REFRESH`` retires spec sessions (all, or all but one digest).
@@ -65,7 +67,8 @@ class UnknownSpecError(RuntimeError):
 
 
 def _build_session(spec_blob: bytes):
-    """Unpickle one spec blob into a warm numpy-backed session."""
+    """Unpickle one spec blob into a warm session on the scipy backend
+    (the fused numpy engine substitutes when scipy is absent)."""
     from repro.engine.session import InferenceSession
 
     net, precision, quantization = pickle.loads(spec_blob)
@@ -73,7 +76,7 @@ def _build_session(spec_blob: bytes):
         net=net,
         precision=precision,
         quantization=quantization,
-        backend="numpy",
+        backend="scipy",
     )
 
 

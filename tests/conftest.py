@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sparse.coo import SparseTensor3D
+
+# Property tests replay the same examples on every run (no random seed,
+# no wall-clock deadline), so a slow or shared host cannot make them flake.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_sparse_tensor(

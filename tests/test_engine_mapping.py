@@ -10,6 +10,8 @@ comparisons below are exact equality, never approximate.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import mapping as M
 
@@ -131,6 +133,115 @@ def test_knn_degenerate_geometry():
     assert_knn_identical(M.knn(line, k=3), M.knn_bruteforce(line, k=3))
     same = np.ones((7, 3))
     assert_knn_identical(M.knn(same, k=4), M.knn_bruteforce(same, k=4))
+    # A diagonal line and a dense blob with far outliers: the outliers'
+    # shells outgrow the occupied cells and are found by scanning them.
+    diagonal = np.outer(rng.normal(size=300), [1.0, 1.0, 1.0])
+    assert_knn_identical(M.knn(diagonal, k=5), M.knn_bruteforce(diagonal, k=5))
+    outliers = np.concatenate(
+        [rng.random((400, 3)), [[300.0, 0.0, 0.0], [0.0, 0.0, -300.0]]]
+    )
+    assert_knn_identical(M.knn(outliers, k=8), M.knn_bruteforce(outliers, k=8))
+
+
+def face_points(points, k, rng, count):
+    """Points exactly on the faces of the bucket grid :func:`M.knn` builds
+    for ``points`` (``origin + j * cell_size``), some just off the grid —
+    where the kNN retirement bound is tight."""
+    pts = M.as_point_array(points)
+    grid = M._knn_grid(pts, k)
+    steps = rng.integers(-2, grid.ncells + 3, size=(count, 3))
+    return grid.origin + steps.astype(pts.dtype) * pts.dtype.type(grid.cell_size)
+
+
+@st.composite
+def generated_clouds(draw):
+    """Float32 / float64 / integer-voxel clouds with duplicates, plus
+    on-face and far-off query sets, and a ``k`` that may exceed ``N``."""
+    kind = draw(st.sampled_from(["float64", "float32", "voxels"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 150))
+    if kind == "voxels":
+        side = draw(st.integers(1, 40))
+        base = rng.integers(0, side, size=(n, 3)).astype(np.int64)
+    else:
+        scale = draw(st.sampled_from([1e-3, 1.0, 250.0]))
+        base = (rng.normal(size=(n, 3)) * scale).astype(kind)
+    repeats = rng.integers(0, n, size=draw(st.integers(0, n)))
+    points = np.concatenate([base, base[repeats]])
+    k = draw(st.integers(1, len(points) + 4))
+    faces = face_points(points, k, rng, draw(st.integers(1, 40)))
+    if kind != "voxels":
+        # Points on the faces too: the grid is rebuilt for the union.
+        points = np.concatenate([points, faces[: len(faces) // 2]])
+        faces = face_points(points, k, rng, len(faces))
+    span = float(np.ptp(M.as_point_array(points), axis=0).max()) + 1.0
+    far = np.array([[40.0, -40.0, 40.0], [0.0, 0.0, -90.0]]) * span
+    queries = np.concatenate([faces, far.astype(faces.dtype)])
+    return points, queries, k
+
+
+@given(generated_clouds())
+@settings(max_examples=200, deadline=None)
+def test_property_knn_and_ball_query_match_bruteforce(case):
+    points, queries, k = case
+    for qs in (None, queries):
+        assert_knn_identical(
+            M.knn(points, qs, k=k), M.knn_bruteforce(points, qs, k=k)
+        )
+    # Radii at exact pair distances put points on the inclusive boundary.
+    pts = M.as_point_array(points)
+    d2 = M._distance_matrix(pts[:3], pts)
+    for radius in (0.0, float(np.sqrt(d2.max())), float(np.sqrt(np.median(d2)))):
+        for qs in (None, queries):
+            assert_ball_identical(
+                M.ball_query(points, qs, radius=radius, max_samples=k),
+                M.ball_query_bruteforce(points, qs, radius=radius, max_samples=k),
+            )
+
+
+def test_knn_float32_at_the_cell_cap():
+    """A dense float32 block inside a wide bounding box drives the cell
+    size down to the 4096-cells-per-axis floor, where float32 rounding
+    of the cell assignment is largest.  Points in the block and queries
+    around it sit exactly on cell faces (``origin + j * cell_size``)."""
+    rng = np.random.default_rng(13)
+    span = 1000.0
+    corners = np.array([[0.0, 0.0, 0.0], [span, span, span]])
+    block = 500.0 + rng.random((8000, 3)) * 2.0
+    on_faces = rng.integers(2048, 2057, size=(100, 3)) * (span / 4096.0)
+    points = np.concatenate([corners, block, on_faces]).astype(np.float32)
+    grid = M._knn_grid(M.as_point_array(points), 8)
+    assert grid.cell_size == span / 4096.0
+    steps = rng.integers(2045, 2060, size=(300, 3)).astype(np.float32)
+    queries = np.concatenate(
+        [grid.origin + steps * np.float32(grid.cell_size), points[2::80]]
+    )
+    for k in (1, 8, 40):
+        assert_knn_identical(
+            M.knn(points, queries, k=k), M.knn_bruteforce(points, queries, k=k)
+        )
+
+
+def test_knn_retirement_bound_is_tight():
+    """A query on a cell face, after two shells, must not retire on a
+    neighbor 2.009 cells away while an unscanned point sits 2.005 cells
+    away, so the bound can be at most 0.009 cells optimistic, barely
+    more than the float32 rounding margin of 2^-7.  The float32 cell
+    cap pins the grid (cell size 1000 / 4096, origin 0)."""
+    rng = np.random.default_rng(3)
+    cell = 1000.0 / 4096.0
+    corners = np.array([[0.0, 0.0, 0.0], [1000.0, 1000.0, 1000.0]])
+    cluster = 500.0 + rng.random((3000, 3)) * 1e-3
+    # In cell units: the query on the lower x-face of cell 2050, one
+    # point just inside cell 2047 (unscanned until shell 3) and one in
+    # the scanned cell 2052.
+    units = np.array([[2047.995, 2048.5, 2048.5], [2052.009, 2048.5, 2048.5]])
+    points = np.concatenate([corners, cluster, units * cell]).astype(np.float32)
+    assert M._knn_grid(M.as_point_array(points), 1).cell_size == cell
+    query = (np.array([[2050.0, 2048.5, 2048.5]]) * cell).astype(np.float32)
+    got = M.knn(points, query, k=1)
+    assert_knn_identical(got, M.knn_bruteforce(points, query, k=1))
+    assert got.indices[0, 0] == len(points) - 2
 
 
 # ---------------------------------------------------------------------------
