@@ -1,25 +1,23 @@
-"""Backend comparison benchmark: numpy vs scipy vs sharded.
+"""Backend comparison benchmark: numpy vs scipy.
 
 Measures the pluggable execution backends on the default streaming
 workload (192^3 occupancy grid, Sub-Conv 1->16) at the convolution
-level, and on a multi-group ``run_batch`` workload at the session level
-(where the sharded backend fans digest groups across worker processes).
+level.  Fan-out across worker processes is measured by the cluster
+benchmark in ``test_bench_serve.py`` (``results/cluster_speedup.txt``).
 Parity is asserted (bit-identical outputs); relative speed is *reported*
 — which engine wins is workload- and machine-dependent, and the report
 (``results/backend_speedup.txt``) is the artifact CI uploads.
 """
 
-import os
 import statistics
 import time
 
 import numpy as np
 
-from repro.engine import InferenceSession, get_backend
+from repro.engine import get_backend
 from repro.geometry.synthetic import make_shapenet_like_cloud
 from repro.geometry.voxelizer import Voxelizer
-from repro.nn import RulebookCache, UNetConfig
-from tests.conftest import random_sparse_tensor
+from repro.nn import RulebookCache
 
 
 def conv_workload():
@@ -44,23 +42,6 @@ def median_seconds(fn, reps=15, warmup=2):
     return statistics.median(samples)
 
 
-def batch_workload(groups=4, frames_per_group=3):
-    """Multi-group run_batch load: distinct site sets, repeated features."""
-    cfg = UNetConfig(in_channels=2, num_classes=8, base_channels=8, levels=3)
-    rng = np.random.default_rng(1)
-    frames = []
-    for g in range(groups):
-        base = random_sparse_tensor(
-            seed=100 + g, shape=(32, 32, 32), nnz=600, channels=2
-        )
-        frames.append(base)
-        frames.extend(
-            base.with_features(rng.standard_normal((base.nnz, 2)))
-            for _ in range(frames_per_group - 1)
-        )
-    return cfg, frames
-
-
 def test_bench_backend_conv_parity_and_speed(write_report):
     grid, rulebook, weights = conv_workload()
     numpy_backend = get_backend("numpy")
@@ -76,21 +57,6 @@ def test_bench_backend_conv_parity_and_speed(write_report):
         lambda: scipy_backend.execute(rulebook, grid.features, weights, grid.nnz)
     )
 
-    cfg, frames = batch_workload()
-    local = InferenceSession(unet_config=cfg, backend="numpy")
-    sharded = InferenceSession(
-        unet_config=cfg, backend=get_backend("sharded", num_workers=2)
-    )
-    try:
-        expected = local.run_batch(frames)
-        fanned = sharded.run_batch(frames)
-        for out, ref in zip(fanned, expected):
-            assert np.array_equal(out.features, ref.features)
-        local_s = median_seconds(lambda: local.run_batch(frames), reps=7)
-        sharded_s = median_seconds(lambda: sharded.run_batch(frames), reps=7)
-    finally:
-        sharded.backend.close()
-
     degraded = " (DEGRADED: scipy absent, numpy fallback)" if getattr(
         scipy_backend, "degraded", False
     ) else ""
@@ -102,16 +68,7 @@ def test_bench_backend_conv_parity_and_speed(write_report):
         f"  numpy  fused engine   {numpy_s * 1e3:9.3f} ms/layer",
         f"  scipy  CSR operators  {scipy_s * 1e3:9.3f} ms/layer "
         f"({numpy_s / scipy_s:5.2f}x vs numpy){degraded}",
-        "",
-        f"run_batch, {len(frames)} frames in 4 digest groups "
-        "(3-level U-Net @ 32^3):",
-        f"  numpy   local         {local_s * 1e3:9.3f} ms/batch",
-        f"  sharded 2-worker pool {sharded_s * 1e3:9.3f} ms/batch "
-        f"({local_s / sharded_s:5.2f}x vs local)",
-        "",
-        f"machine: {os.cpu_count()} CPU core(s) visible — process fan-out "
-        "amortizes only with >1 core; parity holds regardless",
     ]
     write_report("backend_speedup", "\n".join(lines))
     # Parity is the hard requirement; relative speed is informational.
-    assert numpy_s > 0 and scipy_s > 0 and local_s > 0 and sharded_s > 0
+    assert numpy_s > 0 and scipy_s > 0

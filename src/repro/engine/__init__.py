@@ -11,9 +11,11 @@ frames, batches, and estimates through the cross-scale
 
 Underneath the session sits the pluggable compute seam of
 :mod:`repro.engine.backend`: an abstract :class:`ExecutionBackend`
-(fused numpy, scipy CSR, multiprocessing-sharded, or any registered
-third-party engine) evaluates rulebooks against features, bit-identical
-across backends for every session precision.
+(fused numpy, scipy CSR, or any registered third-party engine)
+evaluates rulebooks against features, bit-identical across backends for
+every session precision.  Fanning ``run_batch`` digest groups out to
+warm worker sessions is the TCP cluster tier's job
+(:mod:`repro.runtime.cluster`, backend ``remote``).
 
 For nearly-static streams, :mod:`repro.engine.delta` upgrades the
 digest-keyed caches to incremental patching: a digest miss whose
@@ -40,7 +42,6 @@ from repro.engine.backend import (
     NumpyFusedBackend,
     ScipySparseBackend,
     ShardSpecStore,
-    ShardedProcessBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -50,7 +51,6 @@ from repro.engine.delta import (
     CoordinateDelta,
     DeltaCacheStats,
     DeltaRulebookCache,
-    DeltaUnsupportedError,
     RulebookDelta,
     coordinate_delta,
     patch_rulebook,
@@ -104,7 +104,6 @@ __all__ = [
     "BackendCapabilities",
     "NumpyFusedBackend",
     "ScipySparseBackend",
-    "ShardedProcessBackend",
     "ShardSpecStore",
     "register_backend",
     "get_backend",
@@ -117,7 +116,6 @@ __all__ = [
     "patch_sparse_conv_rulebook",
     "DeltaRulebookCache",
     "DeltaCacheStats",
-    "DeltaUnsupportedError",
     "DEFAULT_DELTA_THRESHOLD",
     "MappingResult",
     "MappingStats",

@@ -8,7 +8,7 @@ caches, the serving queue) is backend-agnostic, and the actual
 gather-GEMM-scatter arithmetic is an :class:`ExecutionBackend` resolved
 by name through a string-keyed registry.
 
-Three backends ship with the repository:
+Two backends ship with the repository:
 
 ``numpy`` — :class:`NumpyFusedBackend`
     The default: the fused vectorized engine of
@@ -22,13 +22,12 @@ Three backends ship with the repository:
     matrix over the match rows) multiplied against the feature block.
     Degrades gracefully to the numpy engine when scipy is absent.
 
-``sharded`` — :class:`ShardedProcessBackend`
-    Fans :meth:`repro.engine.session.InferenceSession.run_batch` digest
-    groups out across a ``multiprocessing`` pool.  Each worker holds a
-    warm private session (plan and rulebook caches persist across
-    dispatches), so repeated site sets stay one matching pass per
-    worker.  Per-convolution calls delegate to the fused numpy engine —
-    sharding is a batch-level strategy, not a kernel.
+Fanning :meth:`repro.engine.session.InferenceSession.run_batch` digest
+groups out to warm worker sessions is the job of the TCP cluster tier:
+:class:`repro.runtime.cluster.RemoteShardBackend` registers as
+``remote`` on ``import repro.runtime`` and speaks the
+:meth:`ExecutionBackend.run_groups` / :class:`GroupTask` /
+:class:`ShardSpecStore` contract defined here.
 
 Every backend is **bit-identical** to ``numpy`` for all three session
 precisions (float64 / float32 / int), cache-cold and cache-warm; the
@@ -81,20 +80,16 @@ class BackendCapabilities:
     vectorizes the gather/scatter stages across frames (rather than
     looping :meth:`~ExecutionBackend.execute`); ``sharded`` means the
     backend accepts whole ``run_batch`` digest groups via
-    :meth:`ExecutionBackend.run_groups`; ``offload_single_group`` asks
-    the session to route even a one-group batch through
-    ``run_groups`` (a remote tier wants every group off-box, while a
-    process pool only pays its IPC cost when there are groups to
-    overlap); ``degraded`` marks a backend whose optional dependency is
-    missing and which is transparently falling back to the fused numpy
-    engine.
+    :meth:`ExecutionBackend.run_groups`, and the session then routes
+    every group of a batch through it; ``degraded`` marks a backend
+    whose optional dependency is missing and which is transparently
+    falling back to the fused numpy engine.
     """
 
     name: str
     description: str
     native_batch: bool = False
     sharded: bool = False
-    offload_single_group: bool = False
     degraded: bool = False
     requires: Optional[str] = None
 
@@ -276,7 +271,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release external resources (worker pools, devices).  Idempotent."""
+        """Release external resources (worker connections, devices).  Idempotent."""
         self._plans.clear()
 
     def __enter__(self) -> "ExecutionBackend":
@@ -765,13 +760,13 @@ class ScipySparseBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# sharded — multiprocessing fan-out of run_batch digest groups
+# Batch-group fan-out contract (implemented by repro.runtime.cluster)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GroupTask:
     """One ``run_batch`` digest group: shared site set, stacked features.
 
-    ``digest`` is the group's coordinate digest; the sharded backend
+    ``digest`` is the group's coordinate digest; a sharded backend
     routes on it so the same site set always lands on the same worker
     (whose plan cache is then warm for it).
     """
@@ -783,14 +778,12 @@ class GroupTask:
 
 
 class ShardSpecStore:
-    """Shared spec/plan-seeding state for sharded and remote backends.
+    """Spec/plan-seeding state of a sharded backend.
 
-    Both process-pool and network fan-out speak the same contract — a
-    worker is warmed from one pickled ``(net, precision, quantization)``
-    blob, then executes digest groups against it — so the blob memo and
-    the record of which site sets a deployment has served live *outside*
-    any single backend.  Splitting this state out of
-    :class:`ShardedProcessBackend` (where PR 5 grew it) is what lets a
+    A worker is warmed from one pickled ``(net, precision,
+    quantization)`` blob, then executes digest groups against it, so the
+    blob memo and the record of which site sets a deployment has served
+    live *outside* any single worker connection.  That is what lets a
     remote worker rejoin warm: the coordinator replays the current spec
     blob plus the recorded plan seeds, and it is also the seam for
     zero-downtime weight swaps (a new blob is a new digest; workers keep
@@ -810,15 +803,9 @@ class ShardSpecStore:
 
     #: Bound on recorded plan seeds: streaming workloads mint fresh site
     #: sets, so the seed registry must evict rather than grow forever.
-    seed_capacity: int = 128
+    SEED_CAPACITY: int = 128
 
-    def __init__(self, seed_capacity: Optional[int] = None) -> None:
-        if seed_capacity is not None:
-            if seed_capacity < 1:
-                raise ValueError(
-                    f"seed_capacity must be >= 1, got {seed_capacity}"
-                )
-            self.seed_capacity = int(seed_capacity)
+    def __init__(self) -> None:
         self._pin: Optional[Tuple[object, str, object]] = None
         self._key: Optional[Tuple] = None
         self._blob: Optional[bytes] = None
@@ -897,7 +884,7 @@ class ShardSpecStore:
         """Remember one served site set (LRU-bounded plan seed)."""
         self._seeds[digest] = (coords, tuple(shape))
         self._seeds.move_to_end(digest)
-        while len(self._seeds) > self.seed_capacity:
+        while len(self._seeds) > self.SEED_CAPACITY:
             self._seeds.popitem(last=False)
 
     def seeds(self) -> Tuple[Tuple[bytes, np.ndarray, Tuple[int, ...]], ...]:
@@ -914,276 +901,6 @@ class ShardSpecStore:
         self._blob = None
         self._digest = None
         self._seeds.clear()
-
-
-_WORKER_SESSION = None  # per-process warm session (set by the initializer)
-
-
-def _sharded_worker_init(spec_blob: bytes) -> None:
-    """Pool initializer: build this worker's warm private session.
-
-    The session (and with it the plan and rulebook caches) persists for
-    the lifetime of the worker process, so digest groups dispatched to
-    the same worker repeatedly pay the matching cost once.
-    """
-    global _WORKER_SESSION
-    from repro.engine.session import InferenceSession
-
-    net, precision, quantization = pickle.loads(spec_blob)
-    _WORKER_SESSION = InferenceSession(
-        net=net,
-        precision=precision,
-        quantization=quantization,
-        backend="numpy",
-    )
-
-
-def _sharded_worker_run(task: GroupTask) -> np.ndarray:
-    """Execute one digest group on this worker's warm session."""
-    from repro.sparse.coo import SparseTensor3D
-
-    template = SparseTensor3D(task.coords, task.features[0], task.shape)
-    frames = [template] + [
-        template.with_features(task.features[b])
-        for b in range(1, task.features.shape[0])
-    ]
-    outs = _WORKER_SESSION.run_batch(frames)
-    return np.stack([out.features for out in outs])
-
-
-class ShardedProcessBackend(ExecutionBackend):
-    """Fans ``run_batch`` digest groups across a multiprocessing pool.
-
-    Batch-level parallelism for the "millions of users" direction: each
-    digest group (frames sharing one site set) is an independent unit of
-    work, so groups are dispatched to worker processes, each of which
-    owns a warm private session executing the fused numpy engine.
-    Results are therefore bit-identical to local execution — the workers
-    run exactly the same code on exactly the same arrays.
-
-    Per-convolution :meth:`execute` / :meth:`execute_batch` calls
-    delegate to the fused engine in-process (sharding is a batch
-    strategy, not a kernel), so a sharded session's single-frame ``run``
-    matches the numpy backend exactly as well.
-
-    Groups are routed by coordinate digest: one single-process executor
-    per worker, with a stable ``digest -> worker`` mapping, so a
-    recurring site set always reaches the worker whose plan cache
-    already holds it (true per-worker warm state, not pool-random
-    assignment).  The workers are spawned lazily on the first group
-    dispatch and rebuilt if the serving network changes; :meth:`close`
-    terminates them.  A worker process that dies mid-dispatch (OOM
-    kill, segfault, operator ``kill -9``) is detected via the
-    executor's ``BrokenProcessPool``, its pool is rebuilt from the
-    stored spec blob, and the lost groups are retried once on the fresh
-    worker (counted in :attr:`pool_restarts`) — a second failure
-    propagates, because a group that kills two fresh workers is the
-    group's fault, not the pool's.
-
-    The pickled spec blob and the record of served site sets live in a
-    :class:`ShardSpecStore` (shared with the remote cluster backend of
-    :mod:`repro.runtime.cluster`), so worker state can be replayed
-    anywhere — a restarted pool here, a rejoining TCP worker there.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        num_workers: int = 2,
-        start_method: Optional[str] = None,
-        spec_store: Optional[ShardSpecStore] = None,
-    ) -> None:
-        super().__init__()
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        self.num_workers = int(num_workers)
-        self.start_method = start_method
-        self._inner = NumpyFusedBackend()
-        self.spec_store = spec_store if spec_store is not None else ShardSpecStore()
-        self._pools: Optional[List[object]] = None
-        #: The spec blob the live pools were initialized with; a blob
-        #: change means the served network changed and the pools rebuild.
-        self._pools_blob: Optional[bytes] = None
-        # Observability: how many groups/frames were fanned out, and how
-        # many dead worker pools were rebuilt mid-stream.
-        self.groups_dispatched = 0
-        self.frames_dispatched = 0
-        self.pool_restarts = 0
-
-    def prepare(self, rulebook: Rulebook) -> ExecPlan:
-        return self._inner.prepare(rulebook)
-
-    def execute(self, rulebook, in_features, weights, num_outputs, stats=None):
-        return self._inner.execute(
-            rulebook, in_features, weights, num_outputs, stats=stats
-        )
-
-    def execute_batch(self, rulebook, stack, weights, num_outputs, stats=None):
-        return self._inner.execute_batch(
-            rulebook, stack, weights, num_outputs, stats=stats
-        )
-
-    @staticmethod
-    def _spec_fingerprint(net, precision: str, quantization) -> Tuple:
-        """Content key of one served spec (see :meth:`ShardSpecStore.fingerprint`)."""
-        return ShardSpecStore.fingerprint(net, precision, quantization)
-
-    def _spec_payload(self, net, precision: str, quantization) -> bytes:
-        """The memoized spec blob — delegates to the shared :class:`ShardSpecStore`."""
-        return self.spec_store.payload(net, precision, quantization)
-
-    def _make_pool(self, spec_blob: bytes) -> object:
-        """One addressable single-process executor, warm-started on the blob."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        method = self.start_method
-        if method is None:
-            # fork shares the parent image copy-on-write (cheap warm
-            # start on Linux); fall back to the platform default.
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else None
-        context = multiprocessing.get_context(method)
-        return ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=context,
-            initializer=_sharded_worker_init,
-            initargs=(spec_blob,),
-        )
-
-    def _ensure_pools(self, spec_blob: bytes) -> List[object]:
-        if self._pools is not None and spec_blob != self._pools_blob:
-            self._shutdown_pools()
-        if self._pools is None:
-            # One single-process executor per worker: digest-stable
-            # routing needs addressable workers, which a shared task
-            # queue cannot provide.  ProcessPoolExecutor (rather than
-            # multiprocessing.Pool) surfaces a killed worker as
-            # BrokenProcessPool instead of hanging the result fetch.
-            self._pools = [
-                self._make_pool(spec_blob) for _ in range(self.num_workers)
-            ]
-            self._pools_blob = spec_blob
-        return self._pools
-
-    def _rebuild_pool(self, index: int) -> None:
-        """Replace one dead worker executor from the stored spec blob."""
-        dead = self._pools[index]
-        try:
-            dead.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - broken pools may refuse
-            pass
-        self._pools[index] = self._make_pool(self._pools_blob)
-        self.pool_restarts += 1
-
-    def _worker_index(self, task: GroupTask) -> int:
-        """Stable digest -> worker mapping (warm plan affinity)."""
-        digest = task.digest or task.coords.tobytes()
-        return int.from_bytes(digest[:8], "little") % self.num_workers
-
-    def run_groups(self, net, precision, quantization, groups):
-        """Dispatch :class:`GroupTask` items to their affine workers.
-
-        All groups are submitted asynchronously (groups mapped to
-        different workers execute concurrently), and results are
-        returned in submission order.  A worker process that died
-        (``BrokenProcessPool``) has its pool rebuilt from the stored
-        spec blob and the lost groups retried once on the fresh worker;
-        any other worker-side exception propagates unchanged.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not groups:
-            return []
-        pools = self._ensure_pools(
-            self._spec_payload(net, precision, quantization)
-        )
-        for task in groups:
-            self.spec_store.record_seed(
-                task.digest or task.coords.tobytes(), task.coords, task.shape
-            )
-        self.groups_dispatched += len(groups)
-        self.frames_dispatched += sum(
-            task.features.shape[0] for task in groups
-        )
-        pending: List[Optional[object]] = []
-        # Failure-handling control flow over a handful of groups, not a
-        # per-element numeric path.
-        for task in groups:  # repro-lint: disable=hot-path
-            try:
-                pending.append(
-                    pools[self._worker_index(task)].submit(
-                        _sharded_worker_run, task
-                    )
-                )
-            except BrokenProcessPool:
-                # The executor noticed the dead worker before we did:
-                # submit refuses outright.  Same recovery as a failed
-                # future.
-                pending.append(None)
-        results: List[Optional[np.ndarray]] = [None] * len(groups)
-        lost: List[int] = []
-        for position, future in enumerate(pending):  # repro-lint: disable=hot-path
-            if future is None:
-                lost.append(position)
-                continue
-            try:
-                results[position] = future.result()
-            except BrokenProcessPool:
-                lost.append(position)
-        if lost:
-            # Rebuild each affected worker once, then retry its groups.
-            # A retry that breaks the fresh pool too propagates: that
-            # group reliably kills workers, and masking it would retry
-            # forever.
-            rebuilt: set = set()
-            retried = []
-            for position in lost:  # repro-lint: disable=hot-path
-                index = self._worker_index(groups[position])
-                if index not in rebuilt:
-                    self._rebuild_pool(index)
-                    rebuilt.add(index)
-                retried.append(
-                    (
-                        position,
-                        self._pools[index].submit(
-                            _sharded_worker_run, groups[position]
-                        ),
-                    )
-                )
-            for position, future in retried:
-                results[position] = future.result()
-        return results
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name=self.name,
-            description=(
-                "digest groups fanned across a multiprocessing pool of "
-                "warm worker sessions"
-            ),
-            native_batch=True,
-            sharded=True,
-        )
-
-    def _shutdown_pools(self) -> None:
-        if self._pools is not None:
-            for pool in self._pools:
-                pool.shutdown(wait=True, cancel_futures=True)
-            self._pools = None
-            self._pools_blob = None
-
-    def close(self) -> None:
-        super().close()
-        self._shutdown_pools()
-        self.spec_store.clear()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -1227,7 +944,8 @@ def get_backend(name: str, **kwargs) -> ExecutionBackend:
     """Instantiate the backend registered under ``name``.
 
     ``kwargs`` are forwarded to the factory (e.g.
-    ``get_backend("sharded", num_workers=4)``).  Unknown names raise a
+    ``get_backend("remote", workers=fleet.addresses)`` after ``import
+    repro.runtime``).  Unknown names raise a
     :class:`ValueError` listing what is registered.
     """
     factory = _REGISTRY.get(name)
@@ -1247,4 +965,3 @@ def get_backend(name: str, **kwargs) -> ExecutionBackend:
 
 register_backend("numpy", NumpyFusedBackend)
 register_backend("scipy", ScipySparseBackend)
-register_backend("sharded", ShardedProcessBackend)

@@ -67,17 +67,6 @@ from repro.sparse.hashmap import pack_coords, unpack_coords
 DEFAULT_DELTA_THRESHOLD = 0.25
 
 
-class DeltaUnsupportedError(ValueError):
-    """A rulebook kind/geometry the delta engine cannot patch.
-
-    Retained purely as a backward-compatible export: earlier revisions
-    raised it for overlapping strided geometries (``kernel_size !=
-    stride``), which are patchable now — a changed input voxel perturbs
-    at most ``ceil(kernel/stride)^3`` output cells, so existence updates
-    stay local.  No shipped code raises or catches it anymore.
-    """
-
-
 @dataclass(frozen=True)
 class CoordinateDelta:
     """Diff between two packed coordinate sets (old -> new).

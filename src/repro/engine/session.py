@@ -38,9 +38,10 @@ so batched outputs are bit-identical to sequential ones.
 All numeric evaluation flows through the session's pluggable
 :class:`repro.engine.backend.ExecutionBackend` (``backend=`` /
 ``AcceleratorConfig.execution_backend``): the fused numpy engine by
-default, cached scipy CSR operators, or a sharded multiprocessing pool
-that fans digest groups across warm worker sessions — all bit-identical
-for every precision.  The asyncio serving front door
+default, cached scipy CSR operators, or the TCP cluster tier's
+``remote`` backend (:mod:`repro.runtime.cluster`) that fans digest
+groups across warm worker sessions — all bit-identical for every
+precision.  The asyncio serving front door
 (:mod:`repro.runtime.server`) sits on top of ``run_batch``.
 """
 
@@ -484,7 +485,7 @@ class InferenceSession:
         Injectable for sharing across sessions; fresh ones by default.
     backend:
         The execution backend evaluating rulebooks against features: a
-        registry name (``"numpy"``, ``"scipy"``, ``"sharded"``, or any
+        registry name (``"numpy"``, ``"scipy"``, ``"remote"``, or any
         :func:`repro.engine.backend.register_backend` entry) or a
         ready :class:`repro.engine.backend.ExecutionBackend` instance.
         Defaults to ``accelerator_config.execution_backend`` (itself
@@ -977,11 +978,10 @@ class InferenceSession:
         outputs bit-identical to per-frame :meth:`run` calls.  Groups of
         one degenerate gracefully to single-frame execution.
 
-        With a sharded backend (``capabilities().sharded``) and more
-        than one digest group, whole groups are fanned out across the
-        backend's worker pool; each worker executes the fused numpy
-        engine in a warm private session, so results stay bit-identical
-        while groups run concurrently.
+        With a sharded backend (``capabilities().sharded``), whole
+        groups are fanned out to the backend's workers; each worker
+        executes the fused numpy engine in a warm private session, so
+        results stay bit-identical while groups run concurrently.
         """
         if not self.registry.enabled:
             return self._run_batch_impl(tensors)
@@ -1016,10 +1016,7 @@ class InferenceSession:
             key = (tensor.shape, tensor.coords_digest())
             groups.setdefault(key, []).append(index)
         results: List[Optional[SparseTensor3D]] = [None] * len(tensors)
-        capabilities = self.backend.capabilities()
-        if capabilities.sharded and (
-            len(groups) > 1 or capabilities.offload_single_group
-        ):
+        if self.backend.capabilities().sharded:
             self._run_batch_sharded(tensors, groups, results)
         else:
             for indices in groups.values():

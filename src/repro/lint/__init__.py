@@ -4,7 +4,9 @@ Eight repo-specific rules (``backend-contract``, ``hot-path``,
 ``async-blocking``, ``spawn-safety``, ``stats-drift``,
 ``lock-discipline``, ``wire-drift``, ``metric-discipline``) over a
 small checker framework with a project symbol table / call graph for
-the interprocedural ones; run via ``python -m repro lint``.  See
+the interprocedural ones (``spawn-safety`` guards the pickled
+``(net, precision, quantization)`` spec blob the cluster tier ships to
+its workers); run via ``python -m repro lint``.  See
 ``docs/lint.md`` for the architecture, rule catalog, and the
 suppression/baseline workflow.
 """

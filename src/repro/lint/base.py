@@ -4,7 +4,7 @@ The stack carries contracts that ordinary linters cannot see: the
 :class:`~repro.engine.backend.ExecutionBackend` surface behind the
 registry, the bit-identity dtype discipline of the fused/CSR hot paths,
 the non-blocking rule inside :class:`~repro.runtime.server.SessionServer`
-coroutines, and pickle/spawn safety on the sharded path.  This module
+coroutines, and pickle safety of the cluster spec blob.  This module
 provides the machinery those rules plug into:
 
 * :class:`Violation` — one finding (file, line, rule id, message);

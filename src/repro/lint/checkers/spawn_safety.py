@@ -1,16 +1,17 @@
-"""``spawn-safety``: sharded spec payloads must survive pickle + spawn.
+"""``spawn-safety``: the cluster spec blob must survive pickle + spawn.
 
-:class:`~repro.engine.backend.ShardedProcessBackend` ships its worker
-state as one pickled ``(net, precision, quantization)`` blob, so every
-object reachable from a network module or quantization spec crosses a
-process boundary — under ``spawn`` (macOS/Windows default, and a CI
-leg) with *no* shared interpreter state to lean on.  PR 5's
-stale-weights bug lived exactly in this seam.  In the reachable set
-(``engine/``, ``nn/``, ``quant/``) this rule flags:
+:class:`~repro.runtime.cluster.RemoteShardBackend` warms its workers
+from one pickled ``(net, precision, quantization)`` spec blob, shipped
+by ``SPEC_SYNC`` and ``pickle.loads``-ed by each
+:mod:`repro.runtime.worker` process, so every object reachable from a
+network module or quantization spec crosses a process boundary into a
+freshly spawned interpreter with *no* shared state to lean on.  A
+stale-weights bug once lived exactly in this seam.  In the reachable
+set (``engine/``, ``nn/``, ``quant/``) this rule flags:
 
 * ``lambda`` (or a locally defined closure) stored on ``self`` or as a
   class attribute — lambdas and local functions do not pickle, so the
-  first spawn dispatch dies with an opaque ``PicklingError``;
+  first ``SPEC_SYNC`` dies with an opaque ``PicklingError``;
 * ``lambda`` passed directly into ``pickle.dumps(...)``;
 * mutable literals (``[]`` / ``{}`` / set displays) as class
   attributes — shared across instances in the parent but silently
@@ -65,11 +66,11 @@ class SpawnSafetyChecker(Checker):
     description = (
         "no lambdas/closures stored on payload-reachable objects, no "
         "lambdas pickled directly, no mutable class attributes in the "
-        "sharded spec payload's reachable set"
+        "cluster spec blob's reachable set"
     )
     # The runtime cluster modules are in scope too: everything they
-    # pickle crosses the wire, so the same spawn/pickle safety rules
-    # apply to the coordinator, the worker, and the frame codec.
+    # pickle crosses the wire, so the same pickle safety rules apply to
+    # the coordinator, the worker, and the frame codec.
     scope = (
         "*engine/*.py",
         "*nn/*.py",
@@ -102,8 +103,8 @@ class SpawnSafetyChecker(Checker):
                             stmt,
                             f"class {cls.name!r} stores a lambda as a class "
                             "attribute — lambdas do not pickle, so any "
-                            "instance reachable from a sharded spec payload "
-                            "breaks under spawn",
+                            "instance reachable from the cluster spec blob "
+                            "breaks in a spawned worker",
                         )
                     )
                 elif _is_mutable_literal(value):
@@ -142,8 +143,8 @@ class SpawnSafetyChecker(Checker):
                             source,
                             node,
                             f"{cls.name}.{method.name} stores a lambda on "
-                            "self — instances reachable from a sharded spec "
-                            "payload become unpicklable under spawn",
+                            "self — instances reachable from the cluster spec "
+                            "blob become unpicklable in a spawned worker",
                         )
                     )
                 elif isinstance(value, ast.Name) and value.id in local_defs:
@@ -153,8 +154,8 @@ class SpawnSafetyChecker(Checker):
                             node,
                             f"{cls.name}.{method.name} stores the local "
                             f"function {value.id!r} on self — local closures "
-                            "do not pickle, breaking sharded spec payloads "
-                            "under spawn",
+                            "do not pickle, breaking the cluster spec blob "
+                            "in a spawned worker",
                         )
                     )
         return out

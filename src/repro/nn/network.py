@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -32,9 +31,8 @@ class Module:
     A module tree can carry a shared rulebook cache
     (:class:`repro.nn.rulebook.RulebookCache`): convolution layers
     resolve it at call time (an explicit ``cache=`` call kwarg takes
-    precedence over the attached one).  Attaching via
-    :meth:`use_rulebook_cache` is deprecated — the supported owner of
-    the cache is :class:`repro.engine.session.InferenceSession`, which
+    precedence over the attached one).  The supported owner of the
+    cache is :class:`repro.engine.session.InferenceSession`, which
     threads it through every consumer (forward, estimate, host model,
     compiler) rather than just the module tree.
     """
@@ -60,30 +58,6 @@ class Module:
         for child in self._children.values():
             child._set_rulebook_cache(cache)
         return self
-
-    def use_rulebook_cache(self, cache) -> "Module":
-        """Attach ``cache`` to this module and all its children.
-
-        .. deprecated::
-            Threading a rulebook cache through the module tree is
-            superseded by session ownership — construct an
-            :class:`repro.engine.session.InferenceSession` and let it
-            own the cache (``session.run`` resolves rulebooks for every
-            layer).  This method remains for standalone module use.
-
-        Children registered later inherit the cache automatically.  Pass
-        ``None`` to detach.  Returns ``self`` for chaining.
-        """
-        warnings.warn(
-            "Module.use_rulebook_cache is deprecated; construct a "
-            "repro.engine.InferenceSession, which owns the rulebook cache "
-            "and the execution backend (select engines with "
-            "InferenceSession(backend=...) instead of attaching state to "
-            "the module tree)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._set_rulebook_cache(cache)
 
     @property
     def rulebook_cache(self):

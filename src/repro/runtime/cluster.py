@@ -1,8 +1,7 @@
 """Cluster coordinator: the ``remote`` execution backend over TCP workers.
 
-This module promotes the process-pool seam of
-:class:`repro.engine.backend.ShardedProcessBackend` to a cross-machine
-tier.  :class:`RemoteShardBackend` is a registered
+This module is the repository's one fan-out tier.
+:class:`RemoteShardBackend` is a registered
 :class:`~repro.engine.backend.ExecutionBackend` (name ``"remote"``)
 whose :meth:`~RemoteShardBackend.run_groups` fans ``run_batch`` digest
 groups out to :mod:`repro.runtime.worker` processes over the
@@ -25,7 +24,7 @@ groups out to :mod:`repro.runtime.worker` processes over the
   all of them.  The one exception is the worker answering "unknown
   spec" — the normal first contact after a restart — which triggers a
   spec re-sync and a retry on the *same* worker.
-* **Warm rejoin.**  The shared
+* **Warm rejoin.**  The backend's
   :class:`~repro.engine.backend.ShardSpecStore` records every served
   site set; :meth:`RemoteShardBackend.rejoin` replays the current spec
   blob plus ``PREPARE`` frames for the recorded seeds, so a returning
@@ -368,20 +367,15 @@ class RemoteShardBackend(ExecutionBackend):
     """Routes ``run_batch`` digest groups to TCP workers (name ``remote``).
 
     Per-convolution :meth:`execute` / :meth:`execute_batch` calls
-    delegate to the fused numpy engine in-process, exactly like the
-    process-pool backend — remoting is a batch strategy, not a kernel —
-    so outputs stay bit-identical to local execution for every session
-    precision.
+    delegate to the fused numpy engine in-process — remoting is a batch
+    strategy, not a kernel — so outputs stay bit-identical to local
+    execution for every session precision.
 
     Parameters
     ----------
     workers:
         Worker addresses (``"host:port"`` strings or ``(host, port)``
         pairs).  May be empty at construction; add via :meth:`rejoin`.
-    spec_store:
-        The shared :class:`ShardSpecStore`; a private one is built if
-        omitted.  Sharing one store between a process-pool backend and
-        a remote backend gives both the same spec blob and seed replay.
     request_timeout_s / connect_timeout_s:
         Per-request and per-connect bounds; a breach is a transport
         failure (worker lost), not a hang.
@@ -406,7 +400,6 @@ class RemoteShardBackend(ExecutionBackend):
     def __init__(
         self,
         workers: Sequence[Union[str, Address]] = (),
-        spec_store: Optional[ShardSpecStore] = None,
         request_timeout_s: float = 60.0,
         connect_timeout_s: float = 5.0,
         retries: int = 2,
@@ -422,7 +415,7 @@ class RemoteShardBackend(ExecutionBackend):
         if heartbeat_s is not None and heartbeat_s <= 0:
             raise ValueError(f"heartbeat_s must be positive, got {heartbeat_s}")
         self._inner = NumpyFusedBackend()
-        self.spec_store = spec_store if spec_store is not None else ShardSpecStore()
+        self.spec_store = ShardSpecStore()
         self.request_timeout_s = float(request_timeout_s)
         self.connect_timeout_s = float(connect_timeout_s)
         self.retries = int(retries)
@@ -498,7 +491,7 @@ class RemoteShardBackend(ExecutionBackend):
         )
 
     # ------------------------------------------------------------------
-    # Local compute surface (same shape as the process-pool backend)
+    # Local compute surface (per-convolution calls stay in-process)
     # ------------------------------------------------------------------
     def prepare(self, rulebook):
         return self._inner.prepare(rulebook)
@@ -522,7 +515,6 @@ class RemoteShardBackend(ExecutionBackend):
             ),
             native_batch=True,
             sharded=True,
-            offload_single_group=True,
         )
 
     # ------------------------------------------------------------------

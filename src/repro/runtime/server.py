@@ -121,9 +121,9 @@ class SessionServer:
 
     One dispatcher task owns the session; submissions from any number of
     client tasks are queued, coalesced, and executed batch-wise.  The
-    server therefore composes with every backend: a sharded backend
-    additionally fans the micro-batch's digest groups across worker
-    processes.
+    server therefore composes with every backend: the cluster tier's
+    ``remote`` backend additionally fans the micro-batch's digest
+    groups across TCP worker processes.
 
     Parameters
     ----------

@@ -17,8 +17,8 @@ frames —
   so traffic lands on warm plans.
 * ``EXECUTE_BATCH`` runs one ``run_batch`` digest group and returns the
   stacked output features, bit-identical to in-process execution (the
-  worker reconstructs frames exactly like the process-pool worker of
-  :mod:`repro.engine.backend` and runs the scipy CSR backend, which is
+  worker rebuilds the group's frames from one template tensor and runs
+  the scipy CSR backend, which is
   bit-identical to the fused numpy engine and falls back to it when
   scipy is not installed).
 * ``HEALTH`` reports liveness and warmth (known digests, prepared

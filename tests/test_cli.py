@@ -87,7 +87,7 @@ def test_cli_unknown_backend_fails_fast_with_available_list(capsys):
         assert excinfo.value.code == 2  # argparse usage error, not a traceback
         err = capsys.readouterr().err
         assert "unknown execution backend 'cuda'" in err
-        assert "'numpy'" in err and "'scipy'" in err and "'sharded'" in err
+        assert "'numpy'" in err and "'scipy'" in err
 
 
 def test_cli_backend_accepts_late_registered_backends(capsys):

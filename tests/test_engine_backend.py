@@ -19,7 +19,7 @@ from repro.engine import (
     InferenceSession,
     NumpyFusedBackend,
     ScipySparseBackend,
-    ShardedProcessBackend,
+    ShardSpecStore,
     available_backends,
     get_backend,
     register_backend,
@@ -35,7 +35,7 @@ from repro.nn.rulebook import build_sparse_conv_rulebook
 from tests.conftest import random_sparse_tensor
 
 SMALL_CFG = UNetConfig(in_channels=2, num_classes=5, base_channels=4, levels=3)
-BACKENDS = ("numpy", "scipy", "sharded")
+BACKENDS = ("numpy", "scipy")
 PRECISIONS = ("float64", "float32", "int")
 
 
@@ -67,9 +67,20 @@ def test_get_backend_unknown_name_lists_registered():
 
 
 def test_get_backend_forwards_kwargs():
-    backend = get_backend("sharded", num_workers=3)
-    assert backend.num_workers == 3
-    backend.close()
+    class SizedBackend(NumpyFusedBackend):
+        name = "sized"
+
+        def __init__(self, width=1):
+            super().__init__()
+            self.width = width
+
+    register_backend("sized", SizedBackend)
+    try:
+        backend = get_backend("sized", width=3)
+        assert backend.width == 3
+        backend.close()
+    finally:
+        backend_mod._REGISTRY.pop("sized", None)
 
 
 def test_register_backend_rejects_duplicates_and_bad_names():
@@ -131,9 +142,8 @@ def test_capabilities_shape():
         assert isinstance(caps, BackendCapabilities)
         assert caps.name == name == backend.name
         assert caps.native_batch
+        assert not caps.sharded  # in-process engines never fan out
         backend.close()
-    assert get_backend("sharded").capabilities().sharded
-    assert not get_backend("numpy").capabilities().sharded
 
 
 # ----------------------------------------------------------------------
@@ -398,104 +408,9 @@ def test_scipy_records_apply_stats():
 
 
 # ----------------------------------------------------------------------
-# sharded specifics
+# Batch-group fan-out contract (run_groups, ShardSpecStore)
 # ----------------------------------------------------------------------
-def test_sharded_fans_out_digest_groups():
-    frames = batch_frames()  # 3 distinct site sets -> 3 groups
-    backend = ShardedProcessBackend(num_workers=2)
-    session = InferenceSession(unet_config=SMALL_CFG, backend=backend)
-    try:
-        reference = InferenceSession(unet_config=SMALL_CFG)
-        expected = reference.run_batch(frames)
-        outs = session.run_batch(frames)
-        for out, ref in zip(outs, expected):
-            assert np.array_equal(out.features, ref.features)
-        assert backend.groups_dispatched == 3
-        assert backend.frames_dispatched == 4
-        # The parent session did not build any plan: work lived in workers.
-        assert session.plan_cache.misses == 0
-        # Warm re-dispatch reuses the live worker pools, and the
-        # digest-affine routing is deterministic.
-        pools = backend._pools
-        routes = [backend._worker_index(t) for t in _tasks_of(frames)]
-        session.run_batch(frames)
-        assert backend._pools is pools
-        assert [backend._worker_index(t) for t in _tasks_of(frames)] == routes
-        assert backend.groups_dispatched == 6
-    finally:
-        backend.close()
-    assert backend._pools is None  # close() is effective and idempotent
-    backend.close()
-
-
-def _tasks_of(frames):
-    """Distinct-digest GroupTasks mirroring run_batch's grouping."""
-    seen = {}
-    for tensor in frames:
-        seen.setdefault(
-            tensor.coords_digest(),
-            GroupTask(
-                coords=tensor.coords,
-                shape=tensor.shape,
-                features=tensor.features[None],
-                digest=tensor.coords_digest(),
-            ),
-        )
-    return list(seen.values())
-
-
-def test_sharded_single_group_runs_locally():
-    frames = [frame(40, nnz=30)]
-    frames.append(frames[0].with_features(frames[0].features * 2.0))
-    backend = ShardedProcessBackend(num_workers=2)
-    session = InferenceSession(unet_config=SMALL_CFG, backend=backend)
-    try:
-        session.run_batch(frames)
-        assert backend.groups_dispatched == 0  # one group: no fan-out
-        assert session.plan_cache.misses == 1
-    finally:
-        backend.close()
-
-
-def test_sharded_pool_worker_death_rebuilds_and_retries():
-    """SIGKILLing a pool worker mid-stream loses no group.
-
-    The next dispatch sees ``BrokenProcessPool``, rebuilds the affected
-    pool from the stored spec blob, retries the lost groups once, and
-    stays bit-identical to the reference.
-    """
-    import signal
-
-    frames = batch_frames()
-    backend = ShardedProcessBackend(num_workers=2)
-    session = InferenceSession(unet_config=SMALL_CFG, backend=backend)
-    try:
-        reference = InferenceSession(unet_config=SMALL_CFG)
-        expected = reference.run_batch(frames)
-        outs = session.run_batch(frames)
-        for out, ref in zip(outs, expected):
-            assert np.array_equal(out.features, ref.features)
-        assert backend.pool_restarts == 0
-
-        for executor in backend._pools:
-            for pid in list(executor._processes):
-                os.kill(pid, signal.SIGKILL)
-
-        outs = session.run_batch(frames)
-        for out, ref in zip(outs, expected):
-            assert np.array_equal(out.features, ref.features)
-        assert backend.pool_restarts >= 1
-        # The rebuilt pools keep serving warm on the next dispatch.
-        outs = session.run_batch(frames)
-        for out, ref in zip(outs, expected):
-            assert np.array_equal(out.features, ref.features)
-    finally:
-        backend.close()
-
-
 def test_sharded_validates_workers_and_refuses_run_groups_on_numpy():
-    with pytest.raises(ValueError, match="num_workers"):
-        ShardedProcessBackend(num_workers=0)
     with pytest.raises(NotImplementedError, match="does not shard"):
         NumpyFusedBackend().run_groups(None, "float64", None, [
             GroupTask(np.zeros((0, 3), np.int64), (4, 4, 4), np.zeros((1, 0, 1)))
@@ -767,19 +682,15 @@ def test_session_delta_on_scipy_backend_splices_plans():
 
 
 def test_sharded_spec_blob_memoized_across_dispatches():
-    frames = batch_frames()
-    backend = ShardedProcessBackend(num_workers=2)
-    session = InferenceSession(unet_config=SMALL_CFG, backend=backend)
-    try:
-        session.run_batch(frames)
-        store = backend.spec_store
-        blob = store.blob
-        key = store._key
-        session.run_batch(frames)  # warm: same net -> no re-pickle
-        assert store.blob is blob
-        assert store._key == key
-    finally:
-        backend.close()
+    session = InferenceSession(unet_config=SMALL_CFG)
+    spec = (session.net, session.precision, session.quantization)
+    store = ShardSpecStore()
+    store.payload(*spec)
+    blob = store.blob
+    key = store._key
+    store.payload(*spec)  # warm: same net -> no re-pickle
+    assert store.blob is blob
+    assert store._key == key
 
 
 def test_sharded_spec_payload_pins_served_objects():
@@ -796,19 +707,19 @@ def test_sharded_spec_payload_pins_served_objects():
     from repro.engine.session import QuantizationSpec
     from repro.nn.unet import SSUNet
 
-    backend = ShardedProcessBackend(num_workers=1)
+    store = ShardSpecStore()
     quantization = QuantizationSpec()
     net_first = SSUNet(replace(SMALL_CFG, seed=101))
-    blob_first = backend._spec_payload(net_first, "float64", quantization)
+    blob_first = store.payload(net_first, "float64", quantization)
     # Identity-warm repeat: same blob object, no re-fingerprint needed.
-    assert backend._spec_payload(net_first, "float64", quantization) is blob_first
+    assert store.payload(net_first, "float64", quantization) is blob_first
     watcher = weakref.ref(net_first)
     del net_first
     gc.collect()
     assert watcher() is not None  # pinned: its id cannot be recycled
     # A different net (identity miss) is detected and re-pickled.
     net_second = SSUNet(replace(SMALL_CFG, seed=202))
-    blob_second = backend._spec_payload(net_second, "float64", quantization)
+    blob_second = store.payload(net_second, "float64", quantization)
     assert blob_second is not blob_first
     shipped_net, precision, _ = pickle.loads(blob_second)
     assert precision == "float64"
@@ -833,7 +744,7 @@ def test_sharded_spec_payload_survives_id_recycling():
     from repro.engine.session import QuantizationSpec
     from repro.nn.unet import SSUNet
 
-    backend = ShardedProcessBackend(num_workers=1)
+    store = ShardSpecStore()
     quantization = QuantizationSpec()
     cfg_first = replace(SMALL_CFG, seed=101)
     cfg_second = replace(SMALL_CFG, seed=202)
@@ -843,13 +754,13 @@ def test_sharded_spec_payload_survives_id_recycling():
 
     def memoize_first():
         net = SSUNet(cfg_first)
-        backend._spec_payload(net, "float64", quantization)
+        store.payload(net, "float64", quantization)
         return id(net)
 
     recycled = None
     for _ in range(3):  # allocator state varies; retry the scenario
         stale_id = memoize_first()
-        backend.spec_store._pin = None  # release the pin: the net dies for real
+        store._pin = None  # release the pin: the net dies for real
         gc.collect()
         for _ in range(64):
             candidate = SSUNet(cfg_second)
@@ -862,7 +773,7 @@ def test_sharded_spec_payload_survives_id_recycling():
             break
     if recycled is None:
         pytest.skip("allocator did not recycle the network id")
-    blob = backend._spec_payload(recycled, "float64", quantization)
+    blob = store.payload(recycled, "float64", quantization)
     shipped_net, _, _ = pickle.loads(blob)
     want = {p.name: p.value for p in recycled.parameters()}
     got = {p.name: p.value for p in shipped_net.parameters()}
@@ -877,45 +788,10 @@ def test_sharded_spec_fingerprint_distinguishes_content():
     from repro.nn.unet import SSUNet
 
     quantization = QuantizationSpec()
-    fp = ShardedProcessBackend._spec_fingerprint
+    fp = ShardSpecStore.fingerprint
     net_a = SSUNet(replace(SMALL_CFG, seed=7))
     net_b = SSUNet(replace(SMALL_CFG, seed=8))  # same geometry, new weights
     net_a2 = SSUNet(replace(SMALL_CFG, seed=7))  # identical content
     assert fp(net_a, "float64", quantization) == fp(net_a2, "float64", quantization)
     assert fp(net_a, "float64", quantization) != fp(net_b, "float64", quantization)
     assert fp(net_a, "float64", quantization) != fp(net_a, "float32", quantization)
-
-
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_sharded_stale_spec_net_swap_reaches_workers(start_method):
-    """Serving a different net through a live sharded backend must reach
-    the workers (fresh pools, fresh weights) — under both start methods."""
-    import gc
-    import multiprocessing
-    from dataclasses import replace
-
-    from repro.nn.unet import SSUNet
-
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"start method {start_method!r} unavailable")
-    frames = batch_frames()
-    backend = ShardedProcessBackend(num_workers=2, start_method=start_method)
-
-    def serve_round(seed):
-        net = SSUNet(replace(SMALL_CFG, seed=seed))
-        session = InferenceSession(net=net, backend=backend)
-        return [out.features for out in session.run_batch(frames)]
-
-    try:
-        first = serve_round(7)
-        gc.collect()  # round 1's net dies; its id may be recycled
-        second = serve_round(8)
-        reference = InferenceSession(net=SSUNet(replace(SMALL_CFG, seed=8)))
-        expected = reference.run_batch(frames)
-        for got, want in zip(second, expected):
-            assert np.array_equal(got, want.features)
-        assert any(
-            not np.array_equal(a, b) for a, b in zip(first, second)
-        )  # the swap actually changed the served weights
-    finally:
-        backend.close()

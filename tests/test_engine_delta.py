@@ -8,7 +8,6 @@ from repro.engine import (
     DEFAULT_DELTA_THRESHOLD,
     CoordinateDelta,
     DeltaRulebookCache,
-    DeltaUnsupportedError,
     InferenceSession,
     coordinate_delta,
     get_backend,
@@ -374,12 +373,6 @@ def test_delta_cache_patches_sparse_conv_including_overlapping():
     scratch3, scratch3_out = build_sparse_conv_rulebook(near, 3, 2)
     assert np.array_equal(patched_out, scratch3_out)
     assert_rulebooks_identical(patched, scratch3)
-
-
-def test_delta_unsupported_error_still_importable():
-    """Backward-compat: the exception class remains exported even though
-    no shipped patcher raises it anymore."""
-    assert issubclass(DeltaUnsupportedError, ValueError)
 
 
 def test_delta_cache_chains_patches_along_a_drift():

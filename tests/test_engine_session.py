@@ -455,19 +455,6 @@ def test_subconv_helper_uses_session_cache():
     assert np.array_equal(first.features, second.features)
 
 
-def test_use_rulebook_cache_is_deprecated():
-    """Satellite: the deprecation is a real DeprecationWarning whose
-    message points at session ownership and the backend= knob."""
-    layer_net = SSUNet(SMALL_CFG)
-    with pytest.warns(DeprecationWarning, match="InferenceSession") as record:
-        layer_net.use_rulebook_cache(RulebookCache())
-    message = str(record[0].message)
-    assert "backend=" in message
-    assert "rulebook cache" in message
-    # The attachment itself still works for standalone module use.
-    assert layer_net.rulebook_cache is not None
-
-
 # ----------------------------------------------------------------------
 # Telemetry (repro.obs registry instrumentation)
 # ----------------------------------------------------------------------

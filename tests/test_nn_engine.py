@@ -245,7 +245,7 @@ def test_explicit_cache_none_disables_attached_cache():
     tensor = random_sparse_tensor(seed=28, nnz=20, channels=2)
     cache = RulebookCache()
     layer = SubmanifoldConv3d(2, 3, rng=np.random.default_rng(29))
-    layer.use_rulebook_cache(cache)
+    layer._set_rulebook_cache(cache)
     layer(tensor)
     assert cache.lookups == 1
     # cache=None must bypass the attached cache for this call only.

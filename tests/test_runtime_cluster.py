@@ -136,12 +136,15 @@ def test_cluster_parity_cold_and_warm(fleet, precision):
         assert backend.stats.groups_dispatched >= 4
         assert backend.stats.frames_dispatched == 2 * len(requests)
         assert backend.stats.workers_lost == 0
+        # The coordinator built no plan: the work lived in the workers.
+        assert session.plan_cache.misses == 0
     finally:
         backend.close()
 
 
 def test_cluster_serves_single_group_batches(remote_backend):
-    # offload_single_group: even a one-digest batch goes off-box.
+    # A sharded backend takes every group, so a one-digest batch goes
+    # off-box too.
     requests = [frame(5), frame(5)]
     reference = InferenceSession(unet_config=SMALL_CFG)
     expected = [out.features for out in reference.run_batch(requests)]
@@ -222,6 +225,36 @@ def test_weight_swap_spec_sync(fleet):
         backend.retire_spec(keep=digest_b)
         for report in backend.worker_health().values():
             assert report["specs"] == [digest_b.hex()]
+    finally:
+        backend.close()
+
+
+def test_sharded_stale_spec_net_swap_reaches_workers(fleet):
+    """Serving a same-geometry net with new weights through a live
+    remote backend must reach the workers, even after the first net was
+    dropped and its id may have been recycled."""
+    import gc
+    from dataclasses import replace
+
+    requests = request_mix()
+    backend = RemoteShardBackend(workers=fleet.addresses)
+
+    def serve_round(seed):
+        net = SSUNet(replace(SMALL_CFG, seed=seed))
+        session = InferenceSession(net=net, backend=backend)
+        return [out.features for out in session.run_batch(requests)]
+
+    try:
+        first = serve_round(7)
+        gc.collect()  # round 1's net dies; its id may be recycled
+        second = serve_round(8)
+        reference = InferenceSession(net=SSUNet(replace(SMALL_CFG, seed=8)))
+        expected = reference.run_batch(requests)
+        for got, want in zip(second, expected):
+            assert np.array_equal(got, want.features)
+        assert any(
+            not np.array_equal(a, b) for a, b in zip(first, second)
+        )  # the swap actually changed the served weights
     finally:
         backend.close()
 
