@@ -795,3 +795,52 @@ def test_sharded_spec_fingerprint_distinguishes_content():
     assert fp(net_a, "float64", quantization) == fp(net_a2, "float64", quantization)
     assert fp(net_a, "float64", quantization) != fp(net_b, "float64", quantization)
     assert fp(net_a, "float64", quantization) != fp(net_a, "float32", quantization)
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_sharded_stale_spec_net_swap_reaches_workers(start_method):
+    """Serving a same-geometry net with new weights through a live remote
+    backend must reach the workers, even after the first net was dropped
+    and its id may have been recycled.
+
+    ``fork``: the workers keep running across the swap and still hold the
+    first net's spec, as forked workers inherit the parent's state.
+    ``spawn``: every worker is replaced by a fresh process between the
+    rounds and rejoined, which replays the first (now stale) spec blob."""
+    import gc
+    from dataclasses import replace
+
+    from repro.nn.unet import SSUNet
+    from repro.runtime.cluster import LocalWorkerFleet, RemoteShardBackend
+
+    frames = batch_frames()
+    with LocalWorkerFleet.spawn(2) as fleet:
+        backend = RemoteShardBackend(workers=fleet.addresses)
+
+        def serve_round(seed):
+            net = SSUNet(replace(SMALL_CFG, seed=seed))
+            session = InferenceSession(net=net, backend=backend)
+            return [out.features for out in session.run_batch(frames)]
+
+        try:
+            first = serve_round(7)
+            gc.collect()  # round 1's net dies; its id may be recycled
+            if start_method == "spawn":
+                for index in range(len(fleet.addresses)):
+                    fleet.kill(index)
+                backend.worker_health()  # the dead workers drop out
+                assert backend.live_workers == ()
+                stale = backend.spec_store.digest
+                for index in range(len(fleet.addresses)):
+                    report = backend.rejoin(fleet.restart(index))
+                    assert report["specs"] == [stale.hex()]
+            second = serve_round(8)
+            reference = InferenceSession(net=SSUNet(replace(SMALL_CFG, seed=8)))
+            expected = reference.run_batch(frames)
+            for got, want in zip(second, expected):
+                assert np.array_equal(got, want.features)
+            assert any(
+                not np.array_equal(a, b) for a, b in zip(first, second)
+            )  # the swap actually changed the served weights
+        finally:
+            backend.close()

@@ -229,36 +229,6 @@ def test_weight_swap_spec_sync(fleet):
         backend.close()
 
 
-def test_sharded_stale_spec_net_swap_reaches_workers(fleet):
-    """Serving a same-geometry net with new weights through a live
-    remote backend must reach the workers, even after the first net was
-    dropped and its id may have been recycled."""
-    import gc
-    from dataclasses import replace
-
-    requests = request_mix()
-    backend = RemoteShardBackend(workers=fleet.addresses)
-
-    def serve_round(seed):
-        net = SSUNet(replace(SMALL_CFG, seed=seed))
-        session = InferenceSession(net=net, backend=backend)
-        return [out.features for out in session.run_batch(requests)]
-
-    try:
-        first = serve_round(7)
-        gc.collect()  # round 1's net dies; its id may be recycled
-        second = serve_round(8)
-        reference = InferenceSession(net=SSUNet(replace(SMALL_CFG, seed=8)))
-        expected = reference.run_batch(requests)
-        for got, want in zip(second, expected):
-            assert np.array_equal(got, want.features)
-        assert any(
-            not np.array_equal(a, b) for a, b in zip(first, second)
-        )  # the swap actually changed the served weights
-    finally:
-        backend.close()
-
-
 def test_remote_backend_validation_and_close_idempotent(fleet):
     with pytest.raises(ValueError, match="retries"):
         RemoteShardBackend(workers=fleet.addresses, retries=-1)
