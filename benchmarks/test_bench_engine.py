@@ -115,7 +115,7 @@ def test_engine_unet_forward_matches_seed_reference(write_report):
     cfg = UNetConfig(in_channels=1, num_classes=8, base_channels=8, levels=3)
     plain = SSUNet(cfg)(grid)
     cache = RulebookCache()
-    cached = SSUNet(cfg, rulebook_cache=cache)(grid)
+    cached = SSUNet(cfg)(grid, cache=cache)
     assert sparse_allclose(cached, plain, rtol=1e-9)
     assert np.array_equal(cached.features, plain.features)
     assert cache.hits > 0

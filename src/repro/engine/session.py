@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,31 +63,15 @@ from repro.arch.config import AcceleratorConfig
 from repro.arch.host import HostExecutionModel, HostLayerRun
 from repro.arch.overhead import SystemOverheadModel, layer_transfer_volume
 from repro.arch.tiling import TileGrid
-from repro.engine.backend import (
-    ExecutionBackend,
-    GroupTask,
-    NumpyFusedBackend,
-    get_backend,
-)
-from repro.arch.mapping_model import (
-    MappingCostModel,
-    MappingOpEstimate,
-    MappingSimulation,
-)
+from repro.engine.backend import ExecutionBackend, GroupTask, get_backend
+from repro.arch.mapping_model import MappingCostModel, MappingOpEstimate
 from repro.engine import mapping as mapping_ops
 from repro.engine.delta import DEFAULT_DELTA_THRESHOLD, DeltaRulebookCache
 from repro.engine.mapping import MappingResult
 from repro.engine.mapping_delta import DeltaMappingCache, MappingCache
 from repro.nn.functional import ApplyStats, normalize_weights
 from repro.obs.metrics import MetricRegistry
-from repro.nn.layers import (
-    BatchNormSparse,
-    ReLUSparse,
-    SparseConv3d,
-    SparseInverseConv3d,
-    SubmanifoldConv3d,
-)
-from repro.nn.network import Parameter, Sequential
+from repro.nn.network import Parameter
 from repro.nn.rulebook import Rulebook, RulebookCache
 from repro.nn.unet import LayerExecution, SSUNet, UNetConfig
 from repro.quant.fixed_point import (
@@ -349,8 +333,9 @@ class PlanCache:
     every estimate over the same scene reuse one plan.  On a hit, the
     plan's rulebooks are re-seeded into the session's
     :class:`RulebookCache` (without perturbing its hit/miss statistics)
-    so module-path forwards stay all-hits even if LRU pressure evicted
-    individual entries in between.
+    so consumers that look rulebooks up there (simulation, host model,
+    compiler) stay all-hits even if LRU pressure evicted individual
+    entries in between.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -408,7 +393,7 @@ class PlanCache:
         coordinate set of level ``L + 1``, so the next scale's template
         is constructed directly from it — no re-derivation of site sets,
         and every build is routed through the shared cache so the
-        network forward, estimate, and host model all hit afterwards.
+        simulation, host model and compiler all hit afterwards.
         """
         levels = len(net.downs) + 1
         kernel = net.config.kernel_size
@@ -951,22 +936,11 @@ class InferenceSession:
         if self._mapping_network():
             self._frames_run += 1
             return self.net(tensor, mapping_cache=self.mapping_cache)
-        plan = self.warm(tensor)
+        # A sharded backend computes a single frame locally: its
+        # execute_batch is the in-process engine.
+        (out,) = self._run_group([tensor])
         self._frames_run += 1
-        if self.precision == "float64" and isinstance(
-            self.backend, NumpyFusedBackend
-        ):
-            # The module-tree forward is the reference path; every conv
-            # resolves its rulebook from the (pre-seeded) session cache.
-            return self.net(
-                tensor, cache=self.rulebook_cache, stats=self.apply_stats
-            )
-        # Other precisions — and any non-default backend — go through the
-        # batch executor, whose per-frame arithmetic is bit-identical to
-        # the module-tree forward (same rulebooks, same GEMM blocks).
-        stack = self._prepare_stack([tensor])
-        out = _BatchExecutor(self, plan).run(stack)
-        return tensor.with_features(out[0])
+        return tensor.with_features(out)
 
     def run_batch(
         self, tensors: Sequence[SparseTensor3D]
@@ -1020,15 +994,23 @@ class InferenceSession:
             self._run_batch_sharded(tensors, groups, results)
         else:
             for indices in groups.values():
-                representative = tensors[indices[0]]
-                plan = self.warm(representative)
-                stack = self._prepare_stack([tensors[i] for i in indices])
-                out = _BatchExecutor(self, plan).run(stack)
+                out = self._run_group([tensors[i] for i in indices])
                 for row, index in enumerate(indices):
                     results[index] = tensors[index].with_features(out[row])
         self._batches_run += 1
         self._frames_run += len(tensors)
         return results  # type: ignore[return-value]
+
+    def _run_group(self, tensors: Sequence[SparseTensor3D]) -> np.ndarray:
+        """Frames sharing one site set through the network walk.
+
+        Features are stacked into ``(B, N, C)`` and every layer runs on
+        the group's plan in the session's precision and backend; the
+        ``(B, N, classes)`` output stack is returned.
+        """
+        plan = self.warm(tensors[0])
+        stack = self._prepare_stack(tensors)
+        return self.net.walk(stack, _StackedOps(self, plan))
 
     def _run_batch_sharded(
         self,
@@ -1199,118 +1181,7 @@ class InferenceSession:
 
     def _estimate_from_plan(self, plan: NetworkPlan) -> NetworkEstimate:
         """Build the whole-network estimate from an already-warm plan."""
-        estimate = NetworkEstimate()
-        net = self.net
-        accel_kernel = self.accelerator_config.kernel_size
-        levels = plan.num_scales
-
-        def subconv_layers(block: Sequential) -> Iterable[SubmanifoldConv3d]:
-            for module in block:
-                if isinstance(module, SubmanifoldConv3d):
-                    yield module
-
-        def add_subconv(layer: SubmanifoldConv3d, level: int) -> None:
-            scale = plan.scale(level)
-            if layer.kernel_size == accel_kernel:
-                estimate.layers.append(
-                    self._estimate_accelerated(layer.name, layer, scale)
-                )
-            else:
-                execution = LayerExecution(
-                    name=layer.name,
-                    input_tensor=scale.template,
-                    in_channels=layer.in_channels,
-                    out_channels=layer.out_channels,
-                    kernel_size=layer.kernel_size,
-                    kind="subconv",
-                )
-                estimate.host_layers.append(
-                    self.host_model.run_layer(
-                        execution,
-                        rulebook=scale.sub_rulebooks[layer.kernel_size],
-                    )
-                )
-
-        for level in range(levels - 1):
-            for layer in subconv_layers(net.encoders[level]):
-                add_subconv(layer, level)
-            scale = plan.scale(level)
-            down = net.downs[level]
-            estimate.host_layers.append(
-                self.host_model.run_layer(
-                    LayerExecution(
-                        name=down.name,
-                        input_tensor=scale.template,
-                        in_channels=down.in_channels,
-                        out_channels=down.out_channels,
-                        kernel_size=down.kernel_size,
-                        kind="sparseconv",
-                        stride=down.stride,
-                    ),
-                    rulebook=scale.down_rulebook,
-                )
-            )
-        for layer in subconv_layers(net.bottom):
-            add_subconv(layer, levels - 1)
-        for level in reversed(range(levels - 1)):
-            scale = plan.scale(level)
-            up = net.ups[level]
-            estimate.host_layers.append(
-                self.host_model.run_layer(
-                    LayerExecution(
-                        name=up.name,
-                        # Matching work of a transposed conv is driven by
-                        # the fine reference set it restores.
-                        input_tensor=scale.template,
-                        in_channels=up.in_channels,
-                        out_channels=up.out_channels,
-                        kernel_size=up.kernel_size,
-                        kind="invconv",
-                        stride=up.stride,
-                    ),
-                    rulebook=scale.down_rulebook,
-                )
-            )
-            for layer in subconv_layers(net.decoders[level]):
-                add_subconv(layer, level)
-        add_subconv(net.head, 0)
-        return estimate
-
-    def _estimate_accelerated(
-        self, name: str, layer: SubmanifoldConv3d, scale: ScalePlan
-    ) -> LayerEstimate:
-        cfg = self.accelerator_config
-        rulebook = scale.sub_rulebooks[layer.kernel_size]
-        scanned, mask_bits = scale.encoding_statistics(cfg, self.analytical)
-        cycles = self.analytical.estimate_cycles(
-            scanned, rulebook.total_matches, layer.in_channels, layer.out_channels
-        )
-        core_seconds = cycles / cfg.clock_hz
-        volume = layer_transfer_volume(
-            nnz_in=scale.nnz,
-            nnz_out=scale.nnz,
-            in_channels=layer.in_channels,
-            out_channels=layer.out_channels,
-            kernel_volume=layer.kernel_size ** 3,
-            mask_bits=mask_bits,
-            weight_bits=cfg.weight_bits,
-            activation_bits=cfg.activation_bits,
-        )
-        overhead_seconds = self.overheads.layer_overhead_seconds(
-            volume, compute_seconds=core_seconds
-        )
-        return LayerEstimate(
-            name=name,
-            level=scale.level,
-            kernel_size=layer.kernel_size,
-            in_channels=layer.in_channels,
-            out_channels=layer.out_channels,
-            nnz=scale.nnz,
-            matches=rulebook.total_matches,
-            cycles=cycles,
-            core_seconds=core_seconds,
-            overhead_seconds=overhead_seconds,
-        )
+        return self.net.walk(NetworkEstimate(), _EstimateOps(self, plan))
 
     def simulate(
         self,
@@ -1434,141 +1305,77 @@ class InferenceSession:
         return cached[1], cached[2]
 
 
-class _BatchExecutor:
-    """Stacked-feature mirror of :meth:`SSUNet.forward`.
+class _StackedOps:
+    """Walk ops over ``(B, N, C)`` feature stacks (``run``/``run_batch``).
 
-    Walks the module tree in exactly the forward's order, applying each
-    layer to a ``(B, N, C)`` feature stack using the plan's rulebooks.
-    In float precisions the per-frame arithmetic is bit-identical to the
-    module-tree forward (same rulebooks, same contiguous GEMM blocks,
-    same elementwise operations); the ``int`` precision runs the
-    fixed-point pipeline per convolution.
+    Each conv reads its rulebook from the plan and runs on the session's
+    backend in the session's precision.  In float precisions the
+    per-frame arithmetic is bit-identical to :meth:`SSUNet.forward`
+    (same rulebooks, same contiguous GEMM blocks, same elementwise
+    operations); the ``int`` precision runs the fixed-point pipeline per
+    convolution.
     """
 
     def __init__(self, session: InferenceSession, plan: NetworkPlan) -> None:
         self.session = session
         self.plan = plan
 
-    def run(self, stack: np.ndarray) -> np.ndarray:
-        net = self.session.net
-        plan = self.plan
-        levels = plan.num_scales
-        skips: List[np.ndarray] = [None] * (levels - 1)  # type: ignore[list-item]
-        current = stack
-        for level in range(levels - 1):
-            current = self._block(net.encoders[level], plan.scale(level), current)
-            skips[level] = current
-            scale = plan.scale(level)
-            down = net.downs[level]
-            current = self._conv(
-                scale.down_rulebook,
-                current,
-                down.weight,
-                down.bias,
-                len(scale.down_coords),
-            )
-        current = self._block(net.bottom, plan.scale(levels - 1), current)
-        for level in reversed(range(levels - 1)):
-            scale = plan.scale(level)
-            up = net.ups[level]
-            if (up.kernel_size, up.stride) != (scale.down_kernel, scale.down_stride):
-                raise ValueError(
-                    f"upsampling layer {up.name!r} does not mirror the "
-                    f"encoder downsampling at level {level}"
-                )
-            current = self._conv(
-                scale.down_rulebook.transposed(),
-                current,
-                up.weight,
-                up.bias,
-                scale.nnz,
-            )
-            current = np.concatenate([skips[level], current], axis=-1)
-            current = self._block(net.decoders[level], scale, current)
-        head = net.head
-        scale0 = plan.scale(0)
+    def subconv(self, layer, stack: np.ndarray, level: int) -> np.ndarray:
+        scale = self.plan.scale(level)
         return self._conv(
-            self._sub_rulebook(scale0, head.kernel_size),
-            current,
-            head.weight,
-            head.bias,
-            scale0.nnz,
+            scale.sub_rulebooks[layer.kernel_size], stack, layer, scale.nnz
         )
 
-    def _sub_rulebook(self, scale: ScalePlan, kernel_size: int) -> Rulebook:
-        rulebook = scale.sub_rulebooks.get(kernel_size)
-        if rulebook is None:
-            rulebook = self.session.rulebook_cache.submanifold(
-                scale.template, kernel_size
-            )
-            scale.sub_rulebooks[kernel_size] = rulebook
-        return rulebook
+    def down(self, layer, stack: np.ndarray, level: int) -> np.ndarray:
+        scale = self.plan.scale(level)
+        return self._conv(
+            scale.down_rulebook, stack, layer, len(scale.down_coords)
+        )
 
-    def _block(
-        self, block: Sequential, scale: ScalePlan, stack: np.ndarray
+    def up(
+        self, layer, stack: np.ndarray, skip: np.ndarray, level: int
     ) -> np.ndarray:
-        for module in block:
-            if isinstance(module, Sequential):
-                stack = self._block(module, scale, stack)
-            elif isinstance(module, SubmanifoldConv3d):
-                stack = self._conv(
-                    self._sub_rulebook(scale, module.kernel_size),
-                    stack,
-                    module.weight,
-                    module.bias,
-                    scale.nnz,
-                )
-            elif isinstance(module, BatchNormSparse):
-                stack = self._batchnorm(module, stack)
-            elif isinstance(module, ReLUSparse):
-                stack = np.maximum(stack, 0.0)
-            elif isinstance(module, (SparseConv3d, SparseInverseConv3d)):
-                raise ValueError(
-                    "strided convolutions inside encoder/decoder blocks are "
-                    "not supported by batched execution"
-                )
-            else:
-                raise ValueError(
-                    f"unsupported module {type(module).__name__} in batched "
-                    "execution"
-                )
-        return stack
+        scale = self.plan.scale(level)
+        if (layer.kernel_size, layer.stride) != (
+            scale.down_kernel, scale.down_stride
+        ):
+            raise ValueError(
+                f"upsampling layer {layer.name!r} does not mirror the "
+                f"encoder downsampling at level {level}"
+            )
+        return self._conv(
+            scale.down_rulebook.transposed(), stack, layer, scale.nnz
+        )
 
-    def _batchnorm(self, module: BatchNormSparse, stack: np.ndarray) -> np.ndarray:
+    def concat(self, skip: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        return np.concatenate([skip, stack], axis=-1)
+
+    def batchnorm(self, layer, stack: np.ndarray, level: int) -> np.ndarray:
         session = self.session
-        scale = session._cast_param(module.scale).reshape(1, 1, -1)
-        shift = session._cast_param(module.shift).reshape(1, 1, -1)
+        scale = session._cast_param(layer.scale).reshape(1, 1, -1)
+        shift = session._cast_param(layer.shift).reshape(1, 1, -1)
         out = stack * scale
         return out + shift
 
+    def relu(self, layer, stack: np.ndarray, level: int) -> np.ndarray:
+        return np.maximum(stack, 0.0)
+
     def _conv(
-        self,
-        rulebook: Rulebook,
-        stack: np.ndarray,
-        weight: Parameter,
-        bias: Optional[Parameter],
-        num_outputs: int,
+        self, rulebook: Rulebook, stack: np.ndarray, layer, num_outputs: int
     ) -> np.ndarray:
         session = self.session
         if session.precision == "int":
-            return self._conv_fixed_point(
-                rulebook, stack, weight, bias, num_outputs
-            )
-        weights = session._cast_param(weight)
+            return self._conv_fixed_point(rulebook, stack, layer, num_outputs)
+        weights = session._cast_param(layer.weight)
         out = session.backend.execute_batch(
             rulebook, stack, weights, num_outputs, stats=session.apply_stats
         )
-        if bias is not None:
-            out = out + session._cast_param(bias).reshape(1, 1, -1)
+        if layer.bias is not None:
+            out = out + session._cast_param(layer.bias).reshape(1, 1, -1)
         return out
 
     def _conv_fixed_point(
-        self,
-        rulebook: Rulebook,
-        stack: np.ndarray,
-        weight: Parameter,
-        bias: Optional[Parameter],
-        num_outputs: int,
+        self, rulebook: Rulebook, stack: np.ndarray, layer, num_outputs: int
     ) -> np.ndarray:
         """Batched fixed-point convolution (the paper's arithmetic contract).
 
@@ -1582,7 +1389,7 @@ class _BatchExecutor:
         """
         session = self.session
         spec = session.quantization
-        weights_q, weight_scale = session._quantized_param(weight)
+        weights_q, weight_scale = session._quantized_param(layer.weight)
         batch = stack.shape[0]
         if batch == 0:
             return np.empty(
@@ -1596,9 +1403,108 @@ class _BatchExecutor:
         )
         acc = saturate(acc, ACC_INT32)
         real = dequantize(acc, (act_scales * weight_scale)[:, None, None])
-        if bias is not None:
-            real = real + bias.value.reshape(1, 1, -1)
+        if layer.bias is not None:
+            real = real + layer.bias.value.reshape(1, 1, -1)
         out_scales = calibrate_scale_batch(real, spec.act_fmt)[:, None, None]
         return dequantize(
             quantize(real, out_scales, spec.act_fmt), out_scales
+        )
+
+
+class _EstimateOps:
+    """Walk ops pricing each conv from the plan; no arithmetic.
+
+    The walk carries the :class:`NetworkEstimate` being filled in.
+    Sub-Convs on the accelerator's kernel get the analytical model plus
+    system overheads; every other conv goes to the host model.
+    """
+
+    def __init__(self, session: InferenceSession, plan: NetworkPlan) -> None:
+        self.session = session
+        self.plan = plan
+
+    def subconv(self, layer, estimate: NetworkEstimate, level: int):
+        scale = self.plan.scale(level)
+        rulebook = scale.sub_rulebooks[layer.kernel_size]
+        if layer.kernel_size == self.session.accelerator_config.kernel_size:
+            estimate.layers.append(self._accelerated(layer, scale, rulebook))
+        else:
+            self._host(estimate, layer, "subconv", scale, rulebook)
+        return estimate
+
+    def down(self, layer, estimate: NetworkEstimate, level: int):
+        scale = self.plan.scale(level)
+        self._host(estimate, layer, "sparseconv", scale, scale.down_rulebook)
+        return estimate
+
+    def up(self, layer, estimate: NetworkEstimate, skip, level: int):
+        # Matching work of a transposed conv is driven by the fine
+        # reference set it restores.
+        scale = self.plan.scale(level)
+        self._host(estimate, layer, "invconv", scale, scale.down_rulebook)
+        return estimate
+
+    def batchnorm(self, layer, estimate: NetworkEstimate, level: int):
+        return estimate
+
+    relu = batchnorm
+
+    def concat(self, skip, estimate: NetworkEstimate):
+        return estimate
+
+    def _host(
+        self,
+        estimate: NetworkEstimate,
+        layer,
+        kind: str,
+        scale: ScalePlan,
+        rulebook: Rulebook,
+    ) -> None:
+        execution = LayerExecution(
+            name=layer.name,
+            input_tensor=scale.template,
+            in_channels=layer.in_channels,
+            out_channels=layer.out_channels,
+            kernel_size=layer.kernel_size,
+            kind=kind,
+            stride=getattr(layer, "stride", 1),
+        )
+        estimate.host_layers.append(
+            self.session.host_model.run_layer(execution, rulebook=rulebook)
+        )
+
+    def _accelerated(
+        self, layer, scale: ScalePlan, rulebook: Rulebook
+    ) -> LayerEstimate:
+        session = self.session
+        cfg = session.accelerator_config
+        scanned, mask_bits = scale.encoding_statistics(cfg, session.analytical)
+        cycles = session.analytical.estimate_cycles(
+            scanned, rulebook.total_matches, layer.in_channels, layer.out_channels
+        )
+        core_seconds = cycles / cfg.clock_hz
+        volume = layer_transfer_volume(
+            nnz_in=scale.nnz,
+            nnz_out=scale.nnz,
+            in_channels=layer.in_channels,
+            out_channels=layer.out_channels,
+            kernel_volume=layer.kernel_size ** 3,
+            mask_bits=mask_bits,
+            weight_bits=cfg.weight_bits,
+            activation_bits=cfg.activation_bits,
+        )
+        overhead_seconds = session.overheads.layer_overhead_seconds(
+            volume, compute_seconds=core_seconds
+        )
+        return LayerEstimate(
+            name=layer.name,
+            level=scale.level,
+            kernel_size=layer.kernel_size,
+            in_channels=layer.in_channels,
+            out_channels=layer.out_channels,
+            nnz=scale.nnz,
+            matches=rulebook.total_matches,
+            cycles=cycles,
+            core_seconds=core_seconds,
+            overhead_seconds=overhead_seconds,
         )

@@ -64,7 +64,7 @@ class SubmanifoldConv3d(Module):
             self.weight.value,
             bias=None if self.bias is None else self.bias.value,
             kernel_size=self.kernel_size,
-            cache=self._resolve_rulebook_cache(kwargs),
+            cache=kwargs.get("cache"),
             stats=kwargs.get("stats"),
         )
 
@@ -116,7 +116,7 @@ class SparseConv3d(Module):
             stride=self.stride,
             bias=None if self.bias is None else self.bias.value,
             kernel_size=self.kernel_size,
-            cache=self._resolve_rulebook_cache(kwargs),
+            cache=kwargs.get("cache"),
             stats=kwargs.get("stats"),
         )
 
@@ -179,7 +179,7 @@ class SparseInverseConv3d(Module):
             stride=self.stride,
             bias=None if self.bias is None else self.bias.value,
             kernel_size=self.kernel_size,
-            cache=self._resolve_rulebook_cache(kwargs),
+            cache=kwargs.get("cache"),
             stats=kwargs.get("stats"),
         )
 

@@ -28,19 +28,17 @@ class Parameter:
 class Module:
     """Base class for layers; subclasses implement :meth:`forward`.
 
-    A module tree can carry a shared rulebook cache
-    (:class:`repro.nn.rulebook.RulebookCache`): convolution layers
-    resolve it at call time (an explicit ``cache=`` call kwarg takes
-    precedence over the attached one).  The supported owner of the
-    cache is :class:`repro.engine.session.InferenceSession`, which
-    threads it through every consumer (forward, estimate, host model,
-    compiler) rather than just the module tree.
+    Convolution layers take a rulebook cache
+    (:class:`repro.nn.rulebook.RulebookCache`) from the call's ``cache=``
+    kwarg.  The supported owner of the cache is
+    :class:`repro.engine.session.InferenceSession`, which threads it
+    through every consumer (forward, estimate, host model, compiler)
+    rather than just the module tree.
     """
 
     def __init__(self) -> None:
         self._parameters: Dict[str, Parameter] = {}
         self._children: Dict[str, "Module"] = {}
-        self._rulebook_cache = None
 
     def register_parameter(self, name: str, param: Parameter) -> Parameter:
         self._parameters[name] = param
@@ -48,31 +46,7 @@ class Module:
 
     def register_child(self, name: str, module: "Module") -> "Module":
         self._children[name] = module
-        if self._rulebook_cache is not None:
-            module._set_rulebook_cache(self._rulebook_cache)
         return module
-
-    def _set_rulebook_cache(self, cache) -> "Module":
-        """Attach ``cache`` to this module and all its children."""
-        self._rulebook_cache = cache
-        for child in self._children.values():
-            child._set_rulebook_cache(cache)
-        return self
-
-    @property
-    def rulebook_cache(self):
-        """The attached rulebook cache, or ``None``."""
-        return self._rulebook_cache
-
-    def _resolve_rulebook_cache(self, kwargs):
-        """Cache to use for a forward call: an explicit kwarg wins.
-
-        Passing ``cache=None`` explicitly disables caching for the call;
-        omitting the kwarg falls back to the attached cache.
-        """
-        if "cache" in kwargs:
-            return kwargs["cache"]
-        return self._rulebook_cache
 
     def parameters(self) -> Iterator[Parameter]:
         """All parameters of this module and its children (depth-first)."""

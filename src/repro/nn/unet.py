@@ -105,21 +105,17 @@ def _conv_block(
 class SSUNet(Module):
     """Submanifold sparse U-Net for point-cloud semantic segmentation.
 
-    Pass ``rulebook_cache`` to share one matching pass across every
-    convolution operating on the same site set: all Sub-Conv layers of a
-    U-Net scale hit the cache after the first, and each decoder's
-    transposed convolution reuses the rulebook its encoder downsampling
-    built.  The preferred front door is
-    :class:`repro.engine.session.InferenceSession`, which owns the cache
-    (plus cross-scale plans, batching, and estimation) on the network's
-    behalf.
+    The layer order is written once, in :meth:`walk`; the forward pass,
+    the session's batched executor and its analytical estimate are all
+    that one walk with a different per-layer executor.  Pass ``cache=``
+    to a forward call to share one matching pass across every
+    convolution operating on the same site set.  The preferred front
+    door is :class:`repro.engine.session.InferenceSession`, which owns
+    the cache (plus cross-scale plans, batching, and estimation) on the
+    network's behalf.
     """
 
-    def __init__(
-        self,
-        config: Optional[UNetConfig] = None,
-        rulebook_cache: Optional[RulebookCache] = None,
-    ) -> None:
+    def __init__(self, config: Optional[UNetConfig] = None) -> None:
         super().__init__()
         self.config = config or UNetConfig()
         cfg = self.config
@@ -171,32 +167,77 @@ class SSUNet(Module):
             ),
         )
 
-        if rulebook_cache is not None:
-            self._set_rulebook_cache(rulebook_cache)
-
     def forward(self, tensor: SparseTensor3D, **kwargs) -> SparseTensor3D:
-        """Forward pass.
+        """Forward pass: :meth:`walk` with each layer's own forward.
 
         Pass ``record=[]`` to capture convolution executions, ``cache=``
-        to use a rulebook cache for this call only, and ``stats=`` (an
+        to use a rulebook cache for this call, and ``stats=`` (an
         :class:`repro.nn.functional.ApplyStats`) to accumulate the fused
         engine's gather/GEMM/scatter timings.
         """
-        cfg = self.config
-        skips: List[SparseTensor3D] = []
-        current = tensor
-        for level in range(cfg.levels - 1):
-            current = self.encoders[level](current, **kwargs)
-            skips.append(current)
-            current = self.downs[level](current, **kwargs)
-        current = self.bottom(current, **kwargs)
-        for level in reversed(range(cfg.levels - 1)):
-            current = self.ups[level](
-                current, reference=skips[level], **kwargs
-            )
-            current = concat_features(skips[level], current)
-            current = self.decoders[level](current, **kwargs)
-        return self.head(current, **kwargs)
+        return self.walk(tensor, _ModuleOps(kwargs))
+
+    def walk(self, x, ops):
+        """Run the U-Net layer order once over ``x`` with executor ``ops``.
+
+        ``x`` is whatever ``ops`` carries from layer to layer: a tensor,
+        a feature stack, an estimate being filled in.  The order is the
+        encoder blocks and strided down convs, the bottom block, then per
+        level the transposed up conv, the skip concat and the decoder
+        block, and finally the ``1^3`` head.  ``ops`` provides
+        ``subconv``/``batchnorm``/``relu``/``down(layer, x, level)``,
+        ``up(layer, x, skip, level)`` and ``concat(skip, x)``; ``level``
+        is the scale the layer reads (0 = full resolution), and an up
+        conv's level is the fine scale it restores.
+        """
+        levels = self.config.levels
+        skips = []
+        for level in range(levels - 1):
+            x = _walk_block(self.encoders[level], x, level, ops)
+            skips.append(x)
+            x = ops.down(self.downs[level], x, level)
+        x = _walk_block(self.bottom, x, levels - 1, ops)
+        for level in reversed(range(levels - 1)):
+            x = ops.up(self.ups[level], x, skips[level], level)
+            x = ops.concat(skips[level], x)
+            x = _walk_block(self.decoders[level], x, level, ops)
+        return ops.subconv(self.head, x, 0)
+
+
+def _walk_block(block: Sequential, x, level: int, ops):
+    """One Sub-Conv -> BN -> ReLU block of :meth:`SSUNet.walk`."""
+    for layer in block:
+        if isinstance(layer, SubmanifoldConv3d):
+            x = ops.subconv(layer, x, level)
+        elif isinstance(layer, BatchNormSparse):
+            x = ops.batchnorm(layer, x, level)
+        elif isinstance(layer, ReLUSparse):
+            x = ops.relu(layer, x, level)
+        else:
+            raise TypeError(f"unsupported layer {type(layer).__name__} in a block")
+    return x
+
+
+class _ModuleOps:
+    """Walk ops of :meth:`SSUNet.forward`: each layer's own forward.
+
+    The call's kwargs (``record=``, ``cache=``, ``stats=``) reach every
+    layer unchanged.
+    """
+
+    def __init__(self, kwargs) -> None:
+        self.kwargs = kwargs
+
+    def subconv(self, layer, tensor, level):
+        return layer(tensor, **self.kwargs)
+
+    batchnorm = relu = down = subconv
+
+    def up(self, layer, tensor, skip, level):
+        return layer(tensor, reference=skip, **self.kwargs)
+
+    def concat(self, skip, tensor):
+        return concat_features(skip, tensor)
 
 
 def collect_all_executions(
@@ -211,10 +252,7 @@ def collect_all_executions(
     session's rulebooks instead of rebuilding them.
     """
     raw: list = []
-    if cache is not None:
-        net(tensor, record=raw, cache=cache)
-    else:
-        net(tensor, record=raw)
+    net(tensor, record=raw, cache=cache)
     executions: List[LayerExecution] = []
     for kind, layer, input_tensor in raw:
         executions.append(

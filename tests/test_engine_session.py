@@ -1,5 +1,7 @@
 """Tests for the unified InferenceSession, PlanCache, and batched execution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.nn import (
     apply_rulebook,
     apply_rulebook_batch,
     build_submanifold_rulebook,
+    collect_all_executions,
 )
 from repro.sparse.coo import SparseTensor3D
 from tests.conftest import random_sparse_tensor
@@ -81,15 +84,56 @@ def test_apply_rulebook_batch_empty():
 
 
 # ----------------------------------------------------------------------
-# session.run — the module-tree forward through session caches
+# session.run — the network walk over stacked features and the plan
 # ----------------------------------------------------------------------
-def test_run_matches_plain_network_bit_identically():
-    tensor = frame(5, nnz=60)
-    session = small_session()
-    out = session.run(tensor)
-    plain = SSUNet(SMALL_CFG)(tensor)
-    assert np.array_equal(out.features, plain.features)
-    assert np.array_equal(out.coords, plain.coords)
+UNET_SHAPES = [(2, 2), (3, 1), (4, 1)]
+
+
+@pytest.mark.parametrize("levels, reps", UNET_SHAPES)
+def test_run_matches_plain_network_bit_identically(levels, reps):
+    """``run`` and ``run_batch`` against a session-free module-tree
+    forward: the independent float64 oracle for each U-Net shape."""
+    cfg = replace(SMALL_CFG, levels=levels, reps=reps)
+    frames = [frame(5, nnz=60), frame(6, nnz=70)]
+    frames.append(
+        frames[0].with_features(
+            np.random.default_rng(7).standard_normal((frames[0].nnz, 2))
+        )
+    )
+    net = SSUNet(cfg)
+    plain = [net(tensor) for tensor in frames]
+    session = InferenceSession(unet_config=cfg)
+    singles = [session.run(tensor) for tensor in frames]
+    batched = InferenceSession(unet_config=cfg).run_batch(frames)
+    for ref, single, batch_out in zip(plain, singles, batched):
+        for out in (single, batch_out):
+            assert out.features.dtype == ref.features.dtype
+            assert np.array_equal(out.features, ref.features)
+            assert np.array_equal(out.coords, ref.coords)
+
+
+@pytest.mark.parametrize("levels, reps", UNET_SHAPES)
+def test_estimate_layers_follow_recorded_forward(levels, reps):
+    """The estimate's accelerated and host layers are the recorded
+    forward's convolutions, split by the accelerator kernel, in order."""
+    cfg = replace(SMALL_CFG, levels=levels, reps=reps)
+    tensor = frame(8, nnz=70)
+    session = InferenceSession(unet_config=cfg)
+    estimate = session.estimate(tensor)
+    kernel = session.accelerator_config.kernel_size
+    executions = collect_all_executions(SSUNet(cfg), tensor)
+    accelerated = [
+        e.name
+        for e in executions
+        if e.kind == "subconv" and e.kernel_size == kernel
+    ]
+    host = [
+        (e.name, e.kind)
+        for e in executions
+        if e.kind != "subconv" or e.kernel_size != kernel
+    ]
+    assert [layer.name for layer in estimate.layers] == accelerated
+    assert [(run.name, run.kind) for run in estimate.host_layers] == host
 
 
 def test_run_uses_shared_weights_across_frames():
@@ -269,7 +313,8 @@ def test_warm_session_one_matching_pass_per_scale_and_kind():
     session.warm(tensor)
     stats = session.stats
     assert stats.matching_passes == expected
-    assert stats.rulebook_hits > 0
+    # run and estimate read the plan's rulebooks directly.
+    assert stats.plan_hits == 3
     assert estimate.total_cycles > 0
     assert estimate.host_seconds > 0
     assert estimate.end_to_end_seconds > estimate.accel_seconds
@@ -387,13 +432,16 @@ def test_plan_cache_lru_eviction_order_follows_recency():
 
 def test_plan_cache_reseeds_rulebook_cache():
     """A cached plan restores its rulebooks after rulebook-cache eviction,
-    keeping warm forwards all-hits without new matching passes."""
+    keeping consumers of the rulebook cache all-hits without new matching
+    passes."""
     tensor = frame(44, nnz=60)
     session = small_session()
     session.warm(tensor)
     session.rulebook_cache.clear()
     session.rulebook_cache.reset_stats()
     session.run(tensor)  # plan hit re-seeds every entry
+    assert session.stats.matching_passes == 0
+    session.simulate(tensor)  # looks every rulebook up in the cache
     assert session.stats.matching_passes == 0
     assert session.stats.rulebook_hits > 0
 

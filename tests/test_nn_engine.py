@@ -238,23 +238,6 @@ def test_cache_lru_eviction():
     assert cache.misses == 4
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_explicit_cache_none_disables_attached_cache():
-    from repro.nn import SubmanifoldConv3d
-
-    tensor = random_sparse_tensor(seed=28, nnz=20, channels=2)
-    cache = RulebookCache()
-    layer = SubmanifoldConv3d(2, 3, rng=np.random.default_rng(29))
-    layer._set_rulebook_cache(cache)
-    layer(tensor)
-    assert cache.lookups == 1
-    # cache=None must bypass the attached cache for this call only.
-    layer(tensor, cache=None)
-    assert cache.lookups == 1
-    layer(tensor)
-    assert cache.lookups == 2 and cache.hits == 1
-
-
 def test_cache_validates_capacity():
     with pytest.raises(ValueError):
         RulebookCache(capacity=0)

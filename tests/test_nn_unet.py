@@ -127,15 +127,15 @@ def test_unet_cached_forward_bit_identical_to_seed_reference():
     cfg = UNetConfig(in_channels=1, num_classes=4, base_channels=4, levels=3)
     plain = SSUNet(cfg)(tensor)
     cache = RulebookCache()
-    net = SSUNet(cfg, rulebook_cache=cache)
-    cached = net(tensor)
+    net = SSUNet(cfg)
+    cached = net(tensor, cache=cache)
     assert np.array_equal(cached.features, plain.features)
     assert sparse_allclose(cached, plain, rtol=1e-9)
     assert cache.hits > 0  # layers at the same scale shared a matching pass
 
     # A second forward over the same site set must hit for every rulebook.
     cache.reset_stats()
-    again = net(tensor)
+    again = net(tensor, cache=cache)
     assert cache.misses == 0 and cache.hits > 0
     assert np.array_equal(again.features, cached.features)
 
