@@ -60,7 +60,6 @@ import numpy as np
 
 from repro.nn.functional import (
     ApplyStats,
-    _accumulator_dtype,
     apply_rulebook,
     apply_rulebook_batch,
 )
@@ -122,9 +121,10 @@ class ExecutionBackend:
       one site set.
 
     Outputs must be bit-identical to the fused numpy engine for every
-    dtype the session produces (float64, float32, and the integer
-    fixed-point pipeline): equality, not closeness, is the contract the
-    session's batching and caching guarantees are built on.
+    dtype the session produces (float64 and float32; the ``int``
+    precision passes integer codes held in float64): equality, not
+    closeness, is the contract the session's batching and caching
+    guarantees are built on.
     """
 
     #: Registry name; subclasses override.
@@ -232,7 +232,7 @@ class ExecutionBackend:
                 f"batched features must be (B, N, Cin), got {stack.shape}"
             )
         weights = np.asarray(weights)
-        dtype = _accumulator_dtype(stack, weights)
+        dtype = np.result_type(stack, weights)
         out = np.zeros(
             (stack.shape[0], num_outputs, weights.shape[2]), dtype=dtype
         )
@@ -345,8 +345,8 @@ class CsrExecPlan(ExecPlan):
 
     ``segment_starts`` / ``active_offsets`` drive the per-offset GEMM in
     between, identical to the fused engine's contiguous blocks.
-    ``casts`` holds per-dtype copies of the operators (features may be
-    float64, float32, or integer depending on session precision).
+    ``casts`` holds per-dtype copies of the operators (features are
+    float64 or float32 depending on session precision).
     """
 
     segment_starts: Optional[np.ndarray] = None
@@ -381,10 +381,7 @@ class CsrExecPlan(ExecPlan):
 
 def _cast_operator(operator, dtype: np.dtype):
     """``dtype`` view of a unit-entry CSR operator, sharing its indices."""
-    with_data = getattr(operator, "_with_data", None)
-    if with_data is not None:
-        return with_data(operator.data.astype(dtype), copy=False)
-    return operator.astype(dtype)  # pragma: no cover - scipy API fallback
+    return operator._with_data(operator.data.astype(dtype), copy=False)
 
 
 class ScipySparseBackend(ExecutionBackend):
@@ -633,10 +630,6 @@ class ScipySparseBackend(ExecutionBackend):
             if dtype == gather.dtype:
                 plan.operators(dtype)  # base pair, no data rebuild
                 continue
-            with_data = getattr(gather, "_with_data", None)
-            if with_data is None:  # pragma: no cover - scipy API fallback
-                plan.operators(dtype)
-                continue
             data = self._unit_entries(total, dtype)
             plan.casts[key] = (
                 gather._with_data(data, copy=False),
@@ -652,7 +645,7 @@ class ScipySparseBackend(ExecutionBackend):
         in_features = np.asarray(in_features)
         weights = np.asarray(weights)
         out_channels = weights.shape[2]
-        dtype = _accumulator_dtype(in_features, weights)
+        dtype = np.result_type(in_features, weights)
         plan = self.plan_for(rulebook)
         if plan.total_matches == 0:
             return np.zeros((num_outputs, out_channels), dtype=dtype)
@@ -699,7 +692,7 @@ class ScipySparseBackend(ExecutionBackend):
         weights = np.asarray(weights)
         batch = stack.shape[0]
         out_channels = weights.shape[2]
-        dtype = _accumulator_dtype(stack, weights)
+        dtype = np.result_type(stack, weights)
         plan = self.plan_for(rulebook)
         if plan.total_matches == 0 or batch == 0:
             return np.zeros((batch, num_outputs, out_channels), dtype=dtype)

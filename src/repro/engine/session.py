@@ -80,7 +80,7 @@ from repro.quant.fixed_point import (
     WEIGHT_INT8,
     FixedPointFormat,
     dequantize,
-    quantize,
+    quantize_codes,
     saturate,
 )
 from repro.quant.quantizer import calibrate_scale, calibrate_scale_batch
@@ -465,7 +465,8 @@ class InferenceSession:
         (weights and activations cast once, the pipeline stays float32),
         or ``"int"`` (the paper's fixed-point pipeline per convolution:
         quantize activations, integer accumulate, saturate, dequantize,
-        requantize — formats from ``quantization``).
+        requantize — formats from ``quantization``; codes are float64,
+        exact below 2^53, and a layer past it raises ``ValueError``).
     rulebook_cache / plan_cache:
         Injectable for sharing across sessions; fresh ones by default.
     backend:
@@ -1293,14 +1294,27 @@ class InferenceSession:
             self._param_casts[id(param)] = cached
         return cached[1]
 
-    def _quantized_param(self, param: Parameter) -> Tuple[np.ndarray, float]:
-        """Integer weights plus scale for the fixed-point path (memoized)."""
+    def _quantized_param(self, layer) -> Tuple[np.ndarray, float]:
+        """Float64 weight codes plus scale of ``layer`` (memoized).
+
+        Memoizing checks, once per layer, that float64 sums it exactly:
+        ``K^3 * Cin`` products of at most ``2^(w_bits + a_bits - 2)``.
+        """
+        param = layer.weight
         cached = self._param_quant.get(id(param))
         if cached is None or cached[0] is not param:
-            fmt = self.quantization.weight_fmt
-            scale = calibrate_scale(param.value, fmt)
-            data = quantize(param.value, scale, fmt)
-            cached = (param, data, scale)
+            spec = self.quantization
+            volume, in_channels = param.value.shape[:2]
+            bits = spec.weight_fmt.bits + spec.act_fmt.bits - 2
+            if volume * in_channels << bits >= 1 << 53:
+                raise ValueError(
+                    f"layer {layer.name!r}: {volume * in_channels} products of "
+                    f"{spec.weight_fmt.name} x {spec.act_fmt.name} codes can "
+                    "sum past 2^53, beyond float64's exact integer range"
+                )
+            scale = calibrate_scale(param.value, spec.weight_fmt)
+            codes = quantize_codes(param.value, scale, spec.weight_fmt)
+            cached = (param, codes, scale)
             self._param_quant[id(param)] = cached
         return cached[1], cached[2]
 
@@ -1363,52 +1377,34 @@ class _StackedOps:
     def _conv(
         self, rulebook: Rulebook, stack: np.ndarray, layer, num_outputs: int
     ) -> np.ndarray:
+        """One conv of the stack on the session's backend.
+
+        The ``int`` precision wraps the float64 GEMMs in the fixed-point
+        pipeline: per-frame activation codes (scales ``(B, 1, 1)``), the
+        weight codes, saturate, dequantize, bias, requantize.  Integer
+        codes in float64 sum exactly in any order, so each frame of the
+        stack gets the bits it would get alone.
+        """
         session = self.session
-        if session.precision == "int":
-            return self._conv_fixed_point(rulebook, stack, layer, num_outputs)
-        weights = session._cast_param(layer.weight)
+        fixed_point = session.precision == "int"
+        if fixed_point:
+            spec = session.quantization
+            weights, weight_scale = session._quantized_param(layer)
+            act_scales = calibrate_scale_batch(stack, spec.act_fmt)[:, None, None]
+            stack = quantize_codes(stack, act_scales, spec.act_fmt)
+        else:
+            weights = session._cast_param(layer.weight)
         out = session.backend.execute_batch(
             rulebook, stack, weights, num_outputs, stats=session.apply_stats
         )
+        if fixed_point:
+            out = dequantize(saturate(out, ACC_INT32), act_scales * weight_scale)
         if layer.bias is not None:
             out = out + session._cast_param(layer.bias).reshape(1, 1, -1)
-        return out
-
-    def _conv_fixed_point(
-        self, rulebook: Rulebook, stack: np.ndarray, layer, num_outputs: int
-    ) -> np.ndarray:
-        """Batched fixed-point convolution (the paper's arithmetic contract).
-
-        Quantize activations (per-frame calibration), integer-accumulate
-        through the rulebook, saturate to the accumulator format,
-        dequantize, then requantize the output activations.  The whole
-        stack runs through one ``execute_batch`` with per-frame scales
-        broadcast as ``(B, 1, 1)``: the quantize/dequantize arithmetic
-        is elementwise and the accumulation is exact integer matmul, so
-        the result is bit-identical to processing each frame alone.
-        """
-        session = self.session
-        spec = session.quantization
-        weights_q, weight_scale = session._quantized_param(layer.weight)
-        batch = stack.shape[0]
-        if batch == 0:
-            return np.empty(
-                (0, num_outputs, weights_q.shape[2]), dtype=np.float64
-            )
-        act_scales = calibrate_scale_batch(stack, spec.act_fmt)
-        acts_q = quantize(stack, act_scales[:, None, None], spec.act_fmt)
-        acc = session.backend.execute_batch(
-            rulebook, acts_q, weights_q, num_outputs,
-            stats=session.apply_stats,
-        )
-        acc = saturate(acc, ACC_INT32)
-        real = dequantize(acc, (act_scales * weight_scale)[:, None, None])
-        if layer.bias is not None:
-            real = real + layer.bias.value.reshape(1, 1, -1)
-        out_scales = calibrate_scale_batch(real, spec.act_fmt)[:, None, None]
-        return dequantize(
-            quantize(real, out_scales, spec.act_fmt), out_scales
-        )
+        if not fixed_point:
+            return out
+        out_scales = calibrate_scale_batch(out, spec.act_fmt)[:, None, None]
+        return dequantize(quantize_codes(out, out_scales, spec.act_fmt), out_scales)
 
 
 class _EstimateOps:

@@ -49,20 +49,26 @@ def saturate(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     return np.clip(values, fmt.min_value, fmt.max_value)
 
 
-def quantize(values: np.ndarray, scale, fmt: FixedPointFormat) -> np.ndarray:
-    """Quantize real ``values`` to integers: ``round(values / scale)``, saturated.
+def quantize_codes(values: np.ndarray, scale, fmt: FixedPointFormat) -> np.ndarray:
+    """Integer codes ``round(values / scale)``, saturated, held as float64.
 
     ``scale`` is the real value of one least-significant bit — a scalar,
     or an array broadcasting against ``values`` (e.g. per-frame scales
     shaped ``(B, 1, 1)`` against a ``(B, N, C)`` stack; the division is
     elementwise either way, so the batched result is bit-identical to
-    quantizing each frame with its own scalar).
+    quantizing each frame with its own scalar).  Float64 sums such codes
+    exactly while no sum reaches 2^53.
     """
     scale_arr = np.asarray(scale, dtype=np.float64)
     if np.any(scale_arr <= 0.0) or not np.all(np.isfinite(scale_arr)):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     q = np.rint(np.asarray(values, dtype=np.float64) / scale_arr)
-    return saturate(q, fmt).astype(np.int64)
+    return saturate(q, fmt)
+
+
+def quantize(values: np.ndarray, scale, fmt: FixedPointFormat) -> np.ndarray:
+    """Quantize real ``values`` to int64 codes (:func:`quantize_codes`)."""
+    return quantize_codes(values, scale, fmt).astype(np.int64)
 
 
 def dequantize(values: np.ndarray, scale) -> np.ndarray:

@@ -5,6 +5,9 @@ INT8 weights times INT16 activations accumulated in INT32, then
 requantized back to INT16 with a per-layer output scale.  The
 cycle-accurate computing core reproduces these integer outputs exactly
 (integer addition is associative, so accumulation order is irrelevant).
+
+The session's ``int`` precision computes the same integers as float64
+codes on BLAS (exact below 2^53); this int64 layer stays its reference.
 """
 
 from __future__ import annotations

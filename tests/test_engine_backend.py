@@ -26,6 +26,7 @@ from repro.engine import (
 )
 from repro.engine.backend import CsrExecPlan, FusedExecPlan, GroupTask
 from repro.nn import (
+    SSUNet,
     UNetConfig,
     apply_rulebook,
     apply_rulebook_batch,
@@ -200,13 +201,54 @@ def test_execute_batch_parity_and_integer_dtype(name):
     out = backend.execute_batch(rulebook, stack, weights, tensor.nnz)
     assert out.dtype == expected.dtype
     assert np.array_equal(out, expected)
-    # Integer batch: the fixed-point pipeline's accumulator contract.
-    stack_q = np.rint(stack * 50).astype(np.int16)
-    weights_q = np.rint(weights * 3).astype(np.int8)
-    expected_q = apply_rulebook_batch(rulebook, stack_q, weights_q, tensor.nnz)
+    # Integer codes held as float64, as the int precision passes them:
+    # the float64 sums equal the int64 fused engine exactly.
+    stack_q = np.rint(stack * 50)
+    weights_q = np.rint(weights * 3)
+    expected_q = apply_rulebook_batch(
+        rulebook, stack_q.astype(np.int64), weights_q.astype(np.int64),
+        tensor.nnz,
+    )
     out_q = backend.execute_batch(rulebook, stack_q, weights_q, tensor.nnz)
-    assert out_q.dtype == np.int64
+    assert out_q.dtype == np.float64
     assert np.array_equal(out_q, expected_q)
+    backend.close()
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_float64_codes_exact_at_bound_edge(name):
+    """Every INT16 activation code at -2^15 and every INT8 weight code at
+    -2^7, over the default U-Net's widest Cin, on a dense cube whose
+    centre sees all 27 offsets: the largest sum the int precision can
+    form.  Float64 backends reproduce the int64 engine exactly."""
+    from repro.sparse.coo import SparseTensor3D
+
+    in_channels = max(
+        p.value.shape[1]
+        for p in SSUNet(UNetConfig()).parameters()
+        if p.value.ndim == 3
+    )
+    grid = np.arange(3)
+    coords = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), -1)
+    coords = coords.reshape(-1, 3)
+    tensor = SparseTensor3D(
+        coords, np.zeros((len(coords), in_channels)), (3, 3, 3)
+    )
+    rulebook = build_submanifold_rulebook(tensor, 3)
+    acts = np.full((2, tensor.nnz, in_channels), -(2.0 ** 15))
+    weights = np.full((27, in_channels, 3), -(2.0 ** 7))
+    exact = apply_rulebook(
+        rulebook, acts[0].astype(np.int64), weights.astype(np.int64),
+        tensor.nnz,
+    )
+    assert exact.max() == 27 * in_channels * 2 ** 22
+    backend = get_backend(name)
+    single = backend.execute(rulebook, acts[0], weights, tensor.nnz)
+    batched = backend.execute_batch(rulebook, acts, weights, tensor.nnz)
+    assert single.dtype == batched.dtype == np.float64
+    assert np.array_equal(single, exact)
+    for frame_out in batched:
+        assert np.array_equal(frame_out, exact)
     backend.close()
 
 
@@ -305,8 +347,9 @@ def test_scipy_degraded_batch_and_session_parity(monkeypatch):
     """Satellite: degraded-mode coverage beyond the CI no-scipy leg.
 
     With the scipy import seam forced closed, every surface of the
-    backend — single-frame, batched (float and integer), and a full
-    session run — must transparently produce the numpy engine's bits.
+    backend — single-frame, batched (float and integer codes), and a
+    full session run — must transparently produce the numpy engine's
+    bits.
     """
     monkeypatch.setattr(backend_mod, "_scipy_sparse", None)
     backend = ScipySparseBackend()
@@ -323,15 +366,18 @@ def test_scipy_degraded_batch_and_session_parity(monkeypatch):
     assert np.array_equal(
         backend.execute_batch(rulebook, stack, weights, tensor.nnz), expected
     )
-    int_stack = np.rint(stack * 50).astype(np.int16)
-    int_weights = np.ones((27, 2, 4), dtype=np.int8)
+    int_stack = np.rint(stack * 50)
+    int_weights = np.ones((27, 2, 4))
     int_out = backend.execute_batch(
         rulebook, int_stack, int_weights, tensor.nnz
     )
-    assert int_out.dtype == np.int64
+    assert int_out.dtype == np.float64
     assert np.array_equal(
         int_out,
-        apply_rulebook_batch(rulebook, int_stack, int_weights, tensor.nnz),
+        apply_rulebook_batch(
+            rulebook, int_stack.astype(np.int64),
+            int_weights.astype(np.int64), tensor.nnz,
+        ),
     )
 
     for precision in ("float64", "float32", "int"):
@@ -603,8 +649,9 @@ def test_scipy_refresh_splices_strided_geometries(kernel_size, stride, seed):
     rng = np.random.default_rng(seed + 7)
     for dtype in ("float64", "float32", "int"):
         if dtype == "int":
-            feats = rng.integers(-40, 40, (new.nnz, 3)).astype(np.int16)
-            weights = rng.integers(-3, 3, (volume, 3, 4)).astype(np.int8)
+            # Integer codes held as float64, as the int precision runs.
+            feats = rng.integers(-40, 40, (new.nnz, 3)).astype(np.float64)
+            weights = rng.integers(-3, 3, (volume, 3, 4)).astype(np.float64)
         else:
             feats = rng.standard_normal((new.nnz, 3)).astype(dtype)
             weights = rng.standard_normal((volume, 3, 4)).astype(dtype)
@@ -615,6 +662,12 @@ def test_scipy_refresh_splices_strided_geometries(kernel_size, stride, seed):
             )
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+        if dtype == "int":
+            exact = apply_rulebook(
+                patched, feats.astype(np.int64), weights.astype(np.int64),
+                len(out_coords),
+            )
+            assert np.array_equal(got, exact)
 
 
 def test_scipy_refresh_falls_back_to_eager_relowering():

@@ -12,10 +12,21 @@ from repro.nn import (
     UNetConfig,
     apply_rulebook,
     apply_rulebook_batch,
+    build_sparse_conv_rulebook,
     build_submanifold_rulebook,
     collect_all_executions,
 )
+from repro.quant import (
+    ACT_INT16,
+    FixedPointFormat,
+    calibrate_scale,
+    dequantize,
+    quantize,
+    saturate,
+)
+from repro.quant.fixed_point import ACC_INT32
 from repro.sparse.coo import SparseTensor3D
+from repro.sparse.ops import concat_features
 from tests.conftest import random_sparse_tensor
 
 SMALL_CFG = UNetConfig(in_channels=2, num_classes=5, base_channels=4, levels=3)
@@ -108,6 +119,91 @@ def test_run_matches_plain_network_bit_identically(levels, reps):
     for ref, single, batch_out in zip(plain, singles, batched):
         for out in (single, batch_out):
             assert out.features.dtype == ref.features.dtype
+            assert np.array_equal(out.features, ref.features)
+            assert np.array_equal(out.coords, ref.coords)
+
+
+class _IntegerOracleOps:
+    """Session-free walk ops of the ``int`` precision.
+
+    Each conv runs the steps of :meth:`QuantizedSubConv.forward` in
+    int64: ``quantize`` the activations and weights, ``apply_rulebook``
+    on freshly matched rulebooks, ``saturate`` to the INT32 accumulator,
+    ``dequantize``, add the bias, then requantize the output.  Batch
+    norm, ReLU and the skip concat are the module tree's own float ops.
+    """
+
+    def __init__(self, spec: QuantizationSpec) -> None:
+        self.spec = spec
+
+    def _conv(self, layer, features, rulebook, num_outputs):
+        spec = self.spec
+        weight_scale = calibrate_scale(layer.weight.value, spec.weight_fmt)
+        weights_q = quantize(layer.weight.value, weight_scale, spec.weight_fmt)
+        act_scale = calibrate_scale(features, spec.act_fmt)
+        acts_q = quantize(features, act_scale, spec.act_fmt)
+        acc = apply_rulebook(rulebook, acts_q, weights_q, num_outputs)
+        assert acc.dtype == np.int64
+        real = dequantize(saturate(acc, ACC_INT32), act_scale * weight_scale)
+        if layer.bias is not None:
+            real = real + layer.bias.value.reshape(1, -1)
+        out_scale = calibrate_scale(real, spec.act_fmt)
+        return dequantize(quantize(real, out_scale, spec.act_fmt), out_scale)
+
+    def subconv(self, layer, tensor, level):
+        rulebook = build_submanifold_rulebook(tensor, layer.kernel_size)
+        return tensor.with_features(
+            self._conv(layer, tensor.features, rulebook, tensor.nnz)
+        )
+
+    def down(self, layer, tensor, level):
+        rulebook, coords = build_sparse_conv_rulebook(
+            tensor, layer.kernel_size, layer.stride
+        )
+        shape = tuple(max(1, -(-s // layer.stride)) for s in tensor.shape)
+        features = self._conv(layer, tensor.features, rulebook, len(coords))
+        return SparseTensor3D(coords, features, shape)
+
+    def up(self, layer, tensor, skip, level):
+        rulebook, _ = build_sparse_conv_rulebook(
+            skip, layer.kernel_size, layer.stride
+        )
+        return skip.with_features(
+            self._conv(layer, tensor.features, rulebook.transposed(), skip.nnz)
+        )
+
+    def batchnorm(self, layer, tensor, level):
+        return layer(tensor)
+
+    relu = batchnorm
+
+    def concat(self, skip, tensor):
+        return concat_features(skip, tensor)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "scipy"])
+@pytest.mark.parametrize("levels, reps", UNET_SHAPES)
+def test_int_run_matches_integer_oracle(levels, reps, backend):
+    """``run`` and ``run_batch`` in the ``int`` precision against a
+    session-free int64 walk: the independent fixed-point oracle."""
+    cfg = replace(SMALL_CFG, levels=levels, reps=reps)
+    frames = [frame(5, nnz=60), frame(6, nnz=70)]
+    frames.append(
+        frames[0].with_features(
+            np.random.default_rng(7).standard_normal((frames[0].nnz, 2))
+        )
+    )
+    net = SSUNet(cfg)
+    oracle = _IntegerOracleOps(QuantizationSpec())
+    expected = [net.walk(tensor, oracle) for tensor in frames]
+    session = InferenceSession(net=net, precision="int", backend=backend)
+    singles = [session.run(tensor) for tensor in frames]
+    batched = InferenceSession(
+        net=net, precision="int", backend=backend
+    ).run_batch(frames)
+    for ref, single, batch_out in zip(expected, singles, batched):
+        for out in (single, batch_out):
+            assert out.features.dtype == np.float64
             assert np.array_equal(out.features, ref.features)
             assert np.array_equal(out.coords, ref.coords)
 
@@ -291,8 +387,21 @@ def test_int_precision_runs_fixed_point_pipeline():
     # session's activation grid: out = q * scale for integer q.
     assert out.features.dtype == np.float64
     assert np.isfinite(out.features).all()
-    spec = session.quantization
-    assert isinstance(spec, QuantizationSpec)
+    assert isinstance(session.quantization, QuantizationSpec)
+    codes = out.features / calibrate_scale(out.features, ACT_INT16)
+    assert np.max(np.abs(codes - np.rint(codes))) <= 1e-9
+
+
+def test_int_precision_rejects_inexact_quantization():
+    """A spec whose products can sum past 2^53 has no exact float64
+    accumulation; ``run`` refuses it and names the first layer."""
+    spec = QuantizationSpec(
+        weight_fmt=FixedPointFormat(bits=24, name="INT24"),
+        act_fmt=FixedPointFormat(bits=32, name="INT32"),
+    )
+    session = small_session(precision="int", quantization=spec)
+    with pytest.raises(ValueError, match=r"'enc0\.conv0'.*2\^53"):
+        session.run(frame(26))
 
 
 # ----------------------------------------------------------------------
