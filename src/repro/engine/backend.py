@@ -12,9 +12,8 @@ Two backends ship with the repository:
 
 ``numpy`` — :class:`NumpyFusedBackend`
     The default: the fused vectorized engine of
-    :func:`repro.nn.functional.apply_rulebook` /
-    :func:`~repro.nn.functional.apply_rulebook_batch`.  This is the
-    reference arithmetic every other backend must match bit for bit.
+    :func:`repro.nn.functional.apply_rulebook`.  This is the reference
+    arithmetic every other backend must match bit for bit.
 
 ``scipy`` — :class:`ScipySparseBackend`
     Lowers a rulebook's gather and scatter stages into cached CSR
@@ -29,6 +28,11 @@ groups out to warm worker sessions is the job of the TCP cluster tier:
 :meth:`ExecutionBackend.run_groups` / :class:`GroupTask` /
 :class:`ShardSpecStore` contract defined here.
 
+Backends compute one frame at a time: :meth:`ExecutionBackend.execute`
+takes one frame's ``(N, Cin)`` features in a float dtype.  A
+``run_batch`` digest group shares its plan, and each of its frames is
+executed alone on it.
+
 Every backend is **bit-identical** to ``numpy`` for all three session
 precisions (float64 / float32 / int), cache-cold and cache-warm; the
 contract is asserted in ``tests/test_engine_backend.py``.
@@ -38,8 +42,7 @@ Writing a backend
 Subclass :class:`ExecutionBackend`, implement :meth:`~ExecutionBackend.
 prepare` (rulebook -> backend-specific :class:`ExecPlan`, memoized for
 you by :meth:`~ExecutionBackend.plan_for`), :meth:`~ExecutionBackend.
-execute` / :meth:`~ExecutionBackend.execute_batch`, and
-:meth:`~ExecutionBackend.capabilities`; then::
+execute` and :meth:`~ExecutionBackend.capabilities`; then::
 
     register_backend("mine", MyBackend)
     session = InferenceSession(backend="mine")
@@ -58,11 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.functional import (
-    ApplyStats,
-    apply_rulebook,
-    apply_rulebook_batch,
-)
+from repro.nn.functional import ApplyStats, apply_rulebook
 from repro.nn.rulebook import Rulebook
 
 try:  # pragma: no cover - exercised via ScipySparseBackend paths
@@ -75,22 +74,36 @@ except ImportError:  # pragma: no cover - CI installs scipy; laptops may not
 class BackendCapabilities:
     """What one backend can do — consumed by the session dispatcher.
 
-    ``native_batch`` means :meth:`ExecutionBackend.execute_batch`
-    vectorizes the gather/scatter stages across frames (rather than
-    looping :meth:`~ExecutionBackend.execute`); ``sharded`` means the
-    backend accepts whole ``run_batch`` digest groups via
-    :meth:`ExecutionBackend.run_groups`, and the session then routes
-    every group of a batch through it; ``degraded`` marks a backend
-    whose optional dependency is missing and which is transparently
-    falling back to the fused numpy engine.
+    ``sharded`` means the backend accepts whole ``run_batch`` digest
+    groups via :meth:`ExecutionBackend.run_groups`, and the session then
+    routes every group of a batch through it; ``degraded`` marks a
+    backend whose optional dependency is missing and which is
+    transparently falling back to the fused numpy engine.
     """
 
     name: str
     description: str
-    native_batch: bool = False
     sharded: bool = False
     degraded: bool = False
     requires: Optional[str] = None
+
+
+def float_result_type(in_features: np.ndarray, weights: np.ndarray) -> np.dtype:
+    """The float accumulator dtype of one execute; integers are refused.
+
+    Backends sum in the promoted dtype of features and weights, so
+    integer inputs would wrap in their own narrow dtype.  The session
+    passes float dtypes only (the ``int`` precision holds its codes in
+    float64); the int64 reference is
+    :func:`repro.nn.functional.apply_rulebook`.
+    """
+    dtype = np.result_type(np.asarray(in_features), np.asarray(weights))
+    if dtype.kind != "f":
+        raise TypeError(
+            f"backends execute float features and weights, got {dtype} "
+            "(hold integer codes in float64)"
+        )
+    return dtype
 
 
 @dataclass(frozen=True)
@@ -111,20 +124,19 @@ class ExecPlan:
 class ExecutionBackend:
     """Abstract compute engine: evaluates rulebooks against features.
 
-    The three required operations mirror the fused engine's signatures
+    The two required operations mirror the fused engine's signature
     (:func:`repro.nn.functional.apply_rulebook`), so any consumer that
     could call the functional engine can call a backend instead:
 
     * :meth:`prepare` — lower one rulebook into an :class:`ExecPlan`;
-    * :meth:`execute` — ``(N, Cin)`` features, one frame;
-    * :meth:`execute_batch` — ``(B, N, Cin)`` stacked features sharing
-      one site set.
+    * :meth:`execute` — ``(N, Cin)`` features, one frame.
 
     Outputs must be bit-identical to the fused numpy engine for every
     dtype the session produces (float64 and float32; the ``int``
     precision passes integer codes held in float64): equality, not
     closeness, is the contract the session's batching and caching
-    guarantees are built on.
+    guarantees are built on.  Integer inputs are refused with
+    :class:`TypeError` (:func:`float_result_type`).
     """
 
     #: Registry name; subclasses override.
@@ -212,38 +224,6 @@ class ExecutionBackend:
         """Evaluate one frame: ``(N, Cin) -> (num_outputs, Cout)``."""
         raise NotImplementedError
 
-    def execute_batch(
-        self,
-        rulebook: Rulebook,
-        stack: np.ndarray,
-        weights: np.ndarray,
-        num_outputs: int,
-        stats: Optional[ApplyStats] = None,
-    ) -> np.ndarray:
-        """Evaluate a ``(B, N, Cin)`` stack sharing one site set.
-
-        The default loops :meth:`execute` per frame, which is always
-        correct (and bit-identical by construction); backends with a
-        vectorized batch path override this and set ``native_batch``.
-        """
-        stack = np.asarray(stack)
-        if stack.ndim != 3:
-            raise ValueError(
-                f"batched features must be (B, N, Cin), got {stack.shape}"
-            )
-        weights = np.asarray(weights)
-        dtype = np.result_type(stack, weights)
-        out = np.zeros(
-            (stack.shape[0], num_outputs, weights.shape[2]), dtype=dtype
-        )
-        # per-frame loop (batch-sized, not element-sized): the fallback
-        # batched path is defined as B independent single-frame executes
-        for b in range(stack.shape[0]):  # repro-lint: disable=hot-path
-            out[b] = self.execute(
-                rulebook, stack[b], weights, num_outputs, stats=stats
-            )
-        return out
-
     # ------------------------------------------------------------------
     # Batch-group fan-out (sharded backends only)
     # ------------------------------------------------------------------
@@ -295,10 +275,10 @@ class FusedExecPlan(ExecPlan):
 class NumpyFusedBackend(ExecutionBackend):
     """The default backend: fused vectorized gather-GEMM-scatter.
 
-    A thin adapter over :func:`repro.nn.functional.apply_rulebook` and
-    :func:`~repro.nn.functional.apply_rulebook_batch` — the engine the
-    repository validated against the seed ``np.add.at`` reference.  This
-    is the arithmetic ground truth the other backends are held to.
+    A thin adapter over :func:`repro.nn.functional.apply_rulebook` — the
+    engine the repository validated against the seed ``np.add.at``
+    reference.  This is the arithmetic ground truth the other backends
+    are held to.
     """
 
     name = "numpy"
@@ -310,20 +290,15 @@ class NumpyFusedBackend(ExecutionBackend):
         )
 
     def execute(self, rulebook, in_features, weights, num_outputs, stats=None):
+        float_result_type(in_features, weights)
         return apply_rulebook(
             rulebook, in_features, weights, num_outputs, stats=stats
-        )
-
-    def execute_batch(self, rulebook, stack, weights, num_outputs, stats=None):
-        return apply_rulebook_batch(
-            rulebook, stack, weights, num_outputs, stats=stats
         )
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             name=self.name,
             description="fused vectorized gather-GEMM-scatter (reference)",
-            native_batch=True,
         )
 
 
@@ -645,7 +620,7 @@ class ScipySparseBackend(ExecutionBackend):
         in_features = np.asarray(in_features)
         weights = np.asarray(weights)
         out_channels = weights.shape[2]
-        dtype = np.result_type(in_features, weights)
+        dtype = float_result_type(in_features, weights)
         plan = self.plan_for(rulebook)
         if plan.total_matches == 0:
             return np.zeros((num_outputs, out_channels), dtype=dtype)
@@ -679,74 +654,10 @@ class ScipySparseBackend(ExecutionBackend):
             stats.scatter_seconds += t3 - t2
         return out
 
-    def execute_batch(self, rulebook, stack, weights, num_outputs, stats=None):
-        if self.degraded:
-            return self._fallback.execute_batch(
-                rulebook, stack, weights, num_outputs, stats=stats
-            )
-        stack = np.asarray(stack)
-        if stack.ndim != 3:
-            raise ValueError(
-                f"batched features must be (B, N, Cin), got {stack.shape}"
-            )
-        weights = np.asarray(weights)
-        batch = stack.shape[0]
-        out_channels = weights.shape[2]
-        dtype = np.result_type(stack, weights)
-        plan = self.plan_for(rulebook)
-        if plan.total_matches == 0 or batch == 0:
-            return np.zeros((batch, num_outputs, out_channels), dtype=dtype)
-        gather_op, scatter_op = plan.operators(dtype)
-        weights = weights.astype(dtype, copy=False)
-        features = stack.astype(dtype, copy=False)
-
-        t0 = time.perf_counter()
-        # One CSR gather for the whole batch: fold frames into columns,
-        # (N, B*Cin), select rows, unfold back to (total, B, Cin).
-        folded = np.ascontiguousarray(features.transpose(1, 0, 2)).reshape(
-            stack.shape[1], batch * stack.shape[2]
-        )
-        gathered = (gather_op @ folded).reshape(
-            plan.total_matches, batch, stack.shape[2]
-        )
-        t1 = time.perf_counter()
-        contribution = np.empty(
-            (plan.total_matches, batch, out_channels), dtype=dtype
-        )
-        starts = plan.segment_starts
-        for k in plan.active_offsets:
-            # per-frame GEMM loop (batch-sized): kept scalar on purpose so
-            # each frame hits the exact single-frame BLAS call
-            for b in range(batch):  # repro-lint: disable=hot-path
-                # Same contiguous (n_k, Cin) @ (Cin, Cout) block as the
-                # single-frame path, so per-frame bits are identical.
-                contribution[starts[k]:starts[k + 1], b] = np.dot(
-                    np.ascontiguousarray(gathered[starts[k]:starts[k + 1], b]),
-                    weights[k],
-                )
-        t2 = time.perf_counter()
-        scattered = scatter_op @ contribution.reshape(
-            plan.total_matches, batch * out_channels
-        )
-        out = np.ascontiguousarray(
-            scattered[:num_outputs]
-            .reshape(num_outputs, batch, out_channels)
-            .transpose(1, 0, 2)
-        )
-        t3 = time.perf_counter()
-
-        if stats is not None:
-            stats.matches += batch * plan.total_matches
-            stats.gather_seconds += t1 - t0
-            stats.gemm_seconds += t2 - t1
-            stats.scatter_seconds += t3 - t2
-        return out
-
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             name=self.name,
             description="CSR gather/scatter operators over feature blocks",
-            native_batch=True,
             degraded=self.degraded,
             requires="scipy",
         )

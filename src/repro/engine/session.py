@@ -23,17 +23,17 @@ from scratch.  The session centralizes that state:
 The execution surfaces::
 
     session.run(tensor)            # single-frame network forward
-    session.run_batch(tensors)     # multi-frame, stacked features over
-                                   # cached plans; bit-identical to
-                                   # per-frame run() calls
+    session.run_batch(tensors)     # multi-frame, one plan per digest
+                                   # group; bit-identical to per-frame
+                                   # run() calls
     session.estimate(tensor)       # analytical cycle/latency model,
                                    # accelerated + host layers
     session.estimate_batch(tensors)  # one plan/estimate per digest group
 
 ``run_batch`` groups frames by their coordinate digest: frames sharing a
-site set share one plan, one gather and one scatter per offset, with the
-per-offset GEMM executed frame by frame on identical contiguous blocks
-so batched outputs are bit-identical to sequential ones.
+site set share one plan (one matching result), and each frame's
+``(N, C)`` features then walk the network alone on it, so batched
+outputs are bit-identical to sequential ones.
 
 All numeric evaluation flows through the session's pluggable
 :class:`repro.engine.backend.ExecutionBackend` (``backend=`` /
@@ -83,7 +83,7 @@ from repro.quant.fixed_point import (
     quantize_codes,
     saturate,
 )
-from repro.quant.quantizer import calibrate_scale, calibrate_scale_batch
+from repro.quant.quantizer import calibrate_scale
 from repro.sparse.coo import SparseTensor3D
 
 PRECISIONS = ("float64", "float32", "int")
@@ -937,8 +937,9 @@ class InferenceSession:
         if self._mapping_network():
             self._frames_run += 1
             return self.net(tensor, mapping_cache=self.mapping_cache)
-        # A sharded backend computes a single frame locally: its
-        # execute_batch is the in-process engine.
+        # A sharded backend runs a single frame locally: its execute is
+        # the in-process engine.
+        self._validate_batch_channels([tensor])
         (out,) = self._run_group([tensor])
         self._frames_run += 1
         return tensor.with_features(out)
@@ -946,17 +947,16 @@ class InferenceSession:
     def run_batch(
         self, tensors: Sequence[SparseTensor3D]
     ) -> List[SparseTensor3D]:
-        """Run many frames with shared weights and stacked features.
+        """Run many frames with shared weights.
 
         Frames are grouped by coordinate digest: each group shares one
-        plan, one gather, and one scatter per offset, which keeps
-        outputs bit-identical to per-frame :meth:`run` calls.  Groups of
-        one degenerate gracefully to single-frame execution.
+        plan, and each frame of it walks the network on that plan, so
+        outputs are bit-identical to per-frame :meth:`run` calls.
 
         With a sharded backend (``capabilities().sharded``), whole
-        groups are fanned out to the backend's workers; each worker
-        executes the fused numpy engine in a warm private session, so
-        results stay bit-identical while groups run concurrently.
+        groups are fanned out to the backend's workers; each worker runs
+        them in a warm private session, so results stay bit-identical
+        while groups run concurrently.
         """
         if not self.registry.enabled:
             return self._run_batch_impl(tensors)
@@ -1002,16 +1002,20 @@ class InferenceSession:
         self._frames_run += len(tensors)
         return results  # type: ignore[return-value]
 
-    def _run_group(self, tensors: Sequence[SparseTensor3D]) -> np.ndarray:
+    def _run_group(self, tensors: Sequence[SparseTensor3D]) -> List[np.ndarray]:
         """Frames sharing one site set through the network walk.
 
-        Features are stacked into ``(B, N, C)`` and every layer runs on
-        the group's plan in the session's precision and backend; the
-        ``(B, N, classes)`` output stack is returned.
+        The group's plan is warmed once; each frame's ``(N, C)``
+        features, cast to the session dtype, then walk every layer on it
+        in the session's precision and backend.  Returns the
+        ``(N, classes)`` output of each frame.
         """
-        plan = self.warm(tensors[0])
-        stack = self._prepare_stack(tensors)
-        return self.net.walk(stack, _StackedOps(self, plan))
+        ops = _FrameOps(self, self.warm(tensors[0]))
+        dtype = np.float32 if self.precision == "float32" else np.float64
+        return [
+            self.net.walk(tensor.features.astype(dtype, copy=False), ops)
+            for tensor in tensors
+        ]
 
     def _run_batch_sharded(
         self,
@@ -1044,11 +1048,11 @@ class InferenceSession:
     def _validate_batch_channels(
         self, tensors: Sequence[SparseTensor3D]
     ) -> None:
-        """Clear errors for mismatched inputs, before any stacking.
+        """Clear errors for mismatched inputs, before any layer runs.
 
         Frames must agree with the network's input width *and* with each
         other; without this check a mixed batch would surface as a
-        cryptic numpy broadcast/stack error deep inside the executor.
+        cryptic numpy shape error deep inside the network walk.
         """
         expected = self.unet_config.in_channels
         for index, tensor in enumerate(tensors):
@@ -1063,14 +1067,6 @@ class InferenceSession:
                     f"network expects {expected} input channels, but frame "
                     f"{index} has {tensor.num_channels}{detail}"
                 )
-
-    def _prepare_stack(self, tensors: Sequence[SparseTensor3D]) -> np.ndarray:
-        """Stack frame features into ``(B, N, C)`` in the session dtype."""
-        self._validate_batch_channels(tensors)
-        stack = np.stack([tensor.features for tensor in tensors])
-        if self.precision == "float32":
-            return stack.astype(np.float32)
-        return stack.astype(np.float64, copy=False)
 
     # ------------------------------------------------------------------
     # Single-layer helpers (streaming hot path, benchmarks)
@@ -1319,13 +1315,13 @@ class InferenceSession:
         return cached[1], cached[2]
 
 
-class _StackedOps:
-    """Walk ops over ``(B, N, C)`` feature stacks (``run``/``run_batch``).
+class _FrameOps:
+    """Walk ops over one frame's ``(N, C)`` features (``run``/``run_batch``).
 
     Each conv reads its rulebook from the plan and runs on the session's
     backend in the session's precision.  In float precisions the
-    per-frame arithmetic is bit-identical to :meth:`SSUNet.forward`
-    (same rulebooks, same contiguous GEMM blocks, same elementwise
+    arithmetic is bit-identical to :meth:`SSUNet.forward` (same
+    rulebooks, same contiguous GEMM blocks, same elementwise
     operations); the ``int`` precision runs the fixed-point pipeline per
     convolution.
     """
@@ -1334,20 +1330,20 @@ class _StackedOps:
         self.session = session
         self.plan = plan
 
-    def subconv(self, layer, stack: np.ndarray, level: int) -> np.ndarray:
+    def subconv(self, layer, features: np.ndarray, level: int) -> np.ndarray:
         scale = self.plan.scale(level)
         return self._conv(
-            scale.sub_rulebooks[layer.kernel_size], stack, layer, scale.nnz
+            scale.sub_rulebooks[layer.kernel_size], features, layer, scale.nnz
         )
 
-    def down(self, layer, stack: np.ndarray, level: int) -> np.ndarray:
+    def down(self, layer, features: np.ndarray, level: int) -> np.ndarray:
         scale = self.plan.scale(level)
         return self._conv(
-            scale.down_rulebook, stack, layer, len(scale.down_coords)
+            scale.down_rulebook, features, layer, len(scale.down_coords)
         )
 
     def up(
-        self, layer, stack: np.ndarray, skip: np.ndarray, level: int
+        self, layer, features: np.ndarray, skip: np.ndarray, level: int
     ) -> np.ndarray:
         scale = self.plan.scale(level)
         if (layer.kernel_size, layer.stride) != (
@@ -1358,53 +1354,52 @@ class _StackedOps:
                 f"encoder downsampling at level {level}"
             )
         return self._conv(
-            scale.down_rulebook.transposed(), stack, layer, scale.nnz
+            scale.down_rulebook.transposed(), features, layer, scale.nnz
         )
 
-    def concat(self, skip: np.ndarray, stack: np.ndarray) -> np.ndarray:
-        return np.concatenate([skip, stack], axis=-1)
+    def concat(self, skip: np.ndarray, features: np.ndarray) -> np.ndarray:
+        return np.concatenate([skip, features], axis=-1)
 
-    def batchnorm(self, layer, stack: np.ndarray, level: int) -> np.ndarray:
+    def batchnorm(self, layer, features: np.ndarray, level: int) -> np.ndarray:
         session = self.session
-        scale = session._cast_param(layer.scale).reshape(1, 1, -1)
-        shift = session._cast_param(layer.shift).reshape(1, 1, -1)
-        out = stack * scale
+        scale = session._cast_param(layer.scale).reshape(1, -1)
+        shift = session._cast_param(layer.shift).reshape(1, -1)
+        out = features * scale
         return out + shift
 
-    def relu(self, layer, stack: np.ndarray, level: int) -> np.ndarray:
-        return np.maximum(stack, 0.0)
+    def relu(self, layer, features: np.ndarray, level: int) -> np.ndarray:
+        return np.maximum(features, 0.0)
 
     def _conv(
-        self, rulebook: Rulebook, stack: np.ndarray, layer, num_outputs: int
+        self, rulebook: Rulebook, features: np.ndarray, layer, num_outputs: int
     ) -> np.ndarray:
-        """One conv of the stack on the session's backend.
+        """One conv of the frame on the session's backend.
 
         The ``int`` precision wraps the float64 GEMMs in the fixed-point
-        pipeline: per-frame activation codes (scales ``(B, 1, 1)``), the
-        weight codes, saturate, dequantize, bias, requantize.  Integer
-        codes in float64 sum exactly in any order, so each frame of the
-        stack gets the bits it would get alone.
+        pipeline: activation codes, the weight codes, saturate,
+        dequantize, bias, requantize.  Integer codes in float64 sum
+        exactly in any order.
         """
         session = self.session
         fixed_point = session.precision == "int"
         if fixed_point:
             spec = session.quantization
             weights, weight_scale = session._quantized_param(layer)
-            act_scales = calibrate_scale_batch(stack, spec.act_fmt)[:, None, None]
-            stack = quantize_codes(stack, act_scales, spec.act_fmt)
+            act_scale = calibrate_scale(features, spec.act_fmt)
+            features = quantize_codes(features, act_scale, spec.act_fmt)
         else:
             weights = session._cast_param(layer.weight)
-        out = session.backend.execute_batch(
-            rulebook, stack, weights, num_outputs, stats=session.apply_stats
+        out = session.backend.execute(
+            rulebook, features, weights, num_outputs, stats=session.apply_stats
         )
         if fixed_point:
-            out = dequantize(saturate(out, ACC_INT32), act_scales * weight_scale)
+            out = dequantize(saturate(out, ACC_INT32), act_scale * weight_scale)
         if layer.bias is not None:
-            out = out + session._cast_param(layer.bias).reshape(1, 1, -1)
+            out = out + session._cast_param(layer.bias).reshape(1, -1)
         if not fixed_point:
             return out
-        out_scales = calibrate_scale_batch(out, spec.act_fmt)[:, None, None]
-        return dequantize(quantize_codes(out, out_scales, spec.act_fmt), out_scales)
+        out_scale = calibrate_scale(out, spec.act_fmt)
+        return dequantize(quantize_codes(out, out_scale, spec.act_fmt), out_scale)
 
 
 class _EstimateOps:

@@ -11,11 +11,11 @@ deep inside a dispatch.  This rule proves the contract statically:
 * the registered class provides a *concrete* implementation — own or
   inherited, but not a bare ``raise NotImplementedError`` stub — of the
   full :class:`~repro.engine.backend.ExecutionBackend` surface:
-  ``prepare`` / ``execute`` / ``execute_batch`` / ``refresh`` /
-  ``capabilities`` / ``close``;
+  ``prepare`` / ``execute`` / ``refresh`` / ``capabilities`` /
+  ``close``;
 * each implementation's signature is call-compatible with how the
   session invokes it (positional arity, plus the ``stats=`` keyword on
-  the execute pair).
+  ``execute``).
 
 Zero-arg factory functions and lambdas are legal registry values but
 cannot be analyzed; only classes resolvable inside the linted source
@@ -39,7 +39,6 @@ from repro.lint.base import (
 _SURFACE: Dict[str, Tuple[int, Optional[str]]] = {
     "prepare": (2, None),
     "execute": (5, "stats"),
-    "execute_batch": (5, "stats"),
     "refresh": (4, None),
     "capabilities": (1, None),
     "close": (1, None),

@@ -18,9 +18,9 @@ from the matching and execution hot paths (``engine/``,
   precision or quantization settings — ad-hoc narrowing silently breaks
   the bit-identity contract between backends.
 
-Intentional exceptions (per-frame batching loops, per-offset rule lists
-bounded by the kernel volume) carry inline
-``# repro-lint: disable=hot-path`` suppressions stating why.
+Intentional exceptions (per-offset rule lists bounded by the kernel
+volume) carry inline ``# repro-lint: disable=hot-path`` suppressions
+stating why.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class _FunctionScan:
         self.length_aliases: Set[str] = set()
         # Whether the function consults precision/quantization settings,
         # which legitimizes an explicit float32 cast (the session's
-        # _prepare_stack pattern).
+        # _run_group cast to the session dtype).
         self.routed = False
 
     # -- pass 1: facts --------------------------------------------------

@@ -22,7 +22,6 @@ from repro.nn.rulebook import (
 from repro.nn.functional import (
     ApplyStats,
     apply_rulebook,
-    apply_rulebook_batch,
     apply_rulebook_reference,
     dense_conv3d_reference,
     global_avg_pool,
@@ -59,7 +58,6 @@ __all__ = [
     "GatherScatterPlan",
     "ApplyStats",
     "apply_rulebook",
-    "apply_rulebook_batch",
     "apply_rulebook_reference",
     "kernel_offsets",
     "build_submanifold_rulebook",

@@ -51,20 +51,6 @@ def normalize_weights(weights: np.ndarray, kernel_size: int) -> np.ndarray:
     return weights
 
 
-def _accumulator_dtype(in_features: np.ndarray, weights: np.ndarray) -> np.dtype:
-    """Accumulator dtype contract shared by the fused and batched engines.
-
-    The promoted dtype of features and weights, widened to at least
-    ``int64`` for integers (the software analogue of the hardware's wide
-    accumulator): per-match products of narrow formats like INT16 x INT8
-    fit their own dtype, but the cross-offset sum must not wrap.
-    """
-    dtype = np.result_type(in_features.dtype, weights.dtype)
-    if dtype.kind in "iu":
-        dtype = np.result_type(dtype, np.int64)
-    return dtype
-
-
 def _validate_stride(stride: int) -> int:
     """Strides must be integers >= 1 (0 would divide by zero downstream)."""
     if int(stride) != stride:
@@ -125,7 +111,9 @@ def apply_rulebook(
     in_features = np.asarray(in_features)
     weights = np.asarray(weights)
     out_channels = weights.shape[2]
-    dtype = _accumulator_dtype(in_features, weights)
+    dtype = np.result_type(in_features.dtype, weights.dtype)
+    if dtype.kind in "iu":
+        dtype = np.result_type(dtype, np.int64)
     out = np.zeros((num_outputs, out_channels), dtype=dtype)
     plan = rulebook.plan()
     if plan.total_matches == 0:
@@ -153,69 +141,6 @@ def apply_rulebook(
 
     if stats is not None:
         stats.matches += plan.total_matches
-        stats.gather_seconds += t1 - t0
-        stats.gemm_seconds += t2 - t1
-        stats.scatter_seconds += t3 - t2
-    return out
-
-
-def apply_rulebook_batch(
-    rulebook: Rulebook,
-    in_features: np.ndarray,
-    weights: np.ndarray,
-    num_outputs: int,
-    stats: Optional[ApplyStats] = None,
-) -> np.ndarray:
-    """Batched gather-GEMM-scatter: ``(B, N, Cin)`` features, shared weights.
-
-    Multi-frame execution over one cached rulebook: every frame of the
-    batch shares the site set (and therefore the matching result), so the
-    gather and scatter stages are vectorized across the whole batch while
-    the per-offset GEMM runs each frame on exactly the same contiguous
-    ``(n_k, Cin) @ (Cin, Cout)`` block as :func:`apply_rulebook` does for
-    a single frame.  The output is therefore **bit-identical** to calling
-    :func:`apply_rulebook` once per frame — the structural guarantee
-    :meth:`repro.engine.session.InferenceSession.run_batch` is built on.
-    """
-    in_features = np.asarray(in_features)
-    if in_features.ndim != 3:
-        raise ValueError(
-            f"batched features must be (B, N, Cin), got {in_features.shape}"
-        )
-    weights = np.asarray(weights)
-    batch = in_features.shape[0]
-    out_channels = weights.shape[2]
-    dtype = _accumulator_dtype(in_features, weights)
-    out = np.zeros((batch, num_outputs, out_channels), dtype=dtype)
-    plan = rulebook.plan()
-    if plan.total_matches == 0 or batch == 0:
-        return out
-
-    t0 = time.perf_counter()
-    gathered = in_features[:, plan.in_rows, :]
-    t1 = time.perf_counter()
-    contribution = np.empty(
-        (batch, plan.total_matches, out_channels), dtype=dtype
-    )
-    starts = plan.segment_starts
-    weights = weights.astype(dtype, copy=False)
-    gathered = gathered.astype(dtype, copy=False)
-    for k in plan.active_offsets:
-        for b in range(batch):
-            # Same contiguous per-offset block GEMM as the single-frame
-            # path, so each frame's arithmetic is identical bit for bit.
-            np.dot(
-                gathered[b, starts[k]:starts[k + 1]],
-                weights[k],
-                out=contribution[b, starts[k]:starts[k + 1]],
-            )
-    t2 = time.perf_counter()
-    for k in plan.active_offsets:
-        out[:, plan.out_rows[k]] += contribution[:, starts[k]:starts[k + 1]]
-    t3 = time.perf_counter()
-
-    if stats is not None:
-        stats.matches += batch * plan.total_matches
         stats.gather_seconds += t1 - t0
         stats.gemm_seconds += t2 - t1
         stats.scatter_seconds += t3 - t2

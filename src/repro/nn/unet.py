@@ -181,7 +181,7 @@ class SSUNet(Module):
         """Run the U-Net layer order once over ``x`` with executor ``ops``.
 
         ``x`` is whatever ``ops`` carries from layer to layer: a tensor,
-        a feature stack, an estimate being filled in.  The order is the
+        a feature array, an estimate being filled in.  The order is the
         encoder blocks and strided down convs, the bottom block, then per
         level the transposed up conv, the skip concat and the decoder
         block, and finally the ``1^3`` head.  ``ops`` provides

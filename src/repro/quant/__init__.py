@@ -18,7 +18,6 @@ from repro.quant.quantizer import (
     QuantizedSubConv,
     QuantizedTensor,
     calibrate_scale,
-    calibrate_scale_batch,
     fold_batchnorm,
     quantize_tensor,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "dequantize",
     "saturate",
     "calibrate_scale",
-    "calibrate_scale_batch",
     "fold_batchnorm",
     "QuantizedTensor",
     "quantize_tensor",

@@ -53,10 +53,7 @@ def quantize_codes(values: np.ndarray, scale, fmt: FixedPointFormat) -> np.ndarr
     """Integer codes ``round(values / scale)``, saturated, held as float64.
 
     ``scale`` is the real value of one least-significant bit — a scalar,
-    or an array broadcasting against ``values`` (e.g. per-frame scales
-    shaped ``(B, 1, 1)`` against a ``(B, N, C)`` stack; the division is
-    elementwise either way, so the batched result is bit-identical to
-    quantizing each frame with its own scalar).  Float64 sums such codes
+    or an array broadcasting against ``values``.  Float64 sums such codes
     exactly while no sum reaches 2^53.
     """
     scale_arr = np.asarray(scale, dtype=np.float64)
@@ -73,7 +70,7 @@ def quantize(values: np.ndarray, scale, fmt: FixedPointFormat) -> np.ndarray:
 
 def dequantize(values: np.ndarray, scale) -> np.ndarray:
     """Map integers back to reals: ``values * scale`` (scalar or
-    broadcastable per-frame scale array)."""
+    broadcastable scale array)."""
     return np.asarray(values, dtype=np.float64) * np.asarray(
         scale, dtype=np.float64
     )

@@ -69,37 +69,13 @@ def calibrate_scale(
     values: np.ndarray, fmt: FixedPointFormat, headroom: float = 1.0
 ) -> float:
     """Symmetric max-abs calibration: one LSB = ``max|x| * headroom / max_code``."""
+    if headroom <= 0.0:
+        raise ValueError(f"headroom must be positive, got {headroom}")
     values = np.asarray(values, dtype=np.float64)
     peak = float(np.max(np.abs(values))) if values.size else 0.0
     if peak == 0.0:
         return 1.0 / fmt.max_value
-    if headroom <= 0.0:
-        raise ValueError(f"headroom must be positive, got {headroom}")
     return peak * headroom / fmt.max_value
-
-
-def calibrate_scale_batch(
-    stack: np.ndarray, fmt: FixedPointFormat, headroom: float = 1.0
-) -> np.ndarray:
-    """Per-frame :func:`calibrate_scale` over a ``(B, ...)`` stack.
-
-    Returns shape ``(B,)``.  Bit-identical to calling
-    :func:`calibrate_scale` on each frame: the max-abs reduction is
-    exact, and the ``peak * headroom / max_code`` arithmetic runs the
-    same operations in the same order, just elementwise.
-    """
-    if headroom <= 0.0:
-        raise ValueError(f"headroom must be positive, got {headroom}")
-    stack = np.asarray(stack, dtype=np.float64)
-    batch = stack.shape[0]
-    if stack.ndim < 2 or stack.size == 0:
-        peaks = np.zeros(batch, dtype=np.float64)
-    else:
-        axes = tuple(range(1, stack.ndim))
-        peaks = np.max(np.abs(stack), axis=axes)
-    return np.where(
-        peaks == 0.0, 1.0 / fmt.max_value, peaks * headroom / fmt.max_value
-    )
 
 
 @dataclass

@@ -366,10 +366,10 @@ class _LoopThread:
 class RemoteShardBackend(ExecutionBackend):
     """Routes ``run_batch`` digest groups to TCP workers (name ``remote``).
 
-    Per-convolution :meth:`execute` / :meth:`execute_batch` calls
-    delegate to the fused numpy engine in-process — remoting is a batch
-    strategy, not a kernel — so outputs stay bit-identical to local
-    execution for every session precision.
+    Per-convolution :meth:`execute` calls delegate to the fused numpy
+    engine in-process — remoting is a batch strategy, not a kernel — so
+    outputs stay bit-identical to local execution for every session
+    precision.
 
     Parameters
     ----------
@@ -501,11 +501,6 @@ class RemoteShardBackend(ExecutionBackend):
             rulebook, in_features, weights, num_outputs, stats=stats
         )
 
-    def execute_batch(self, rulebook, stack, weights, num_outputs, stats=None):
-        return self._inner.execute_batch(
-            rulebook, stack, weights, num_outputs, stats=stats
-        )
-
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             name=self.name,
@@ -513,7 +508,6 @@ class RemoteShardBackend(ExecutionBackend):
                 "digest groups routed to TCP workers via a consistent-hash "
                 "ring with failover"
             ),
-            native_batch=True,
             sharded=True,
         )
 

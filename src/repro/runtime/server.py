@@ -1,10 +1,10 @@
 """Async serving front door: an asyncio request queue over a session.
 
-The ROADMAP's "millions of users" direction needs more than a per-frame
-loop: many concurrent clients submit frames, and the server should
-exploit the session's batching guarantees — frames sharing a coordinate
-digest are bit-identical whether run one at a time or stacked — to turn
-queue depth into throughput.  :class:`SessionServer` does exactly that:
+Many concurrent clients submit frames, and the server exploits the
+session's batching guarantee — frames sharing a coordinate digest share
+one plan and are bit-identical whether run one call at a time or in one
+``run_batch`` — to turn queue depth into throughput.
+:class:`SessionServer` does exactly that:
 
 * clients ``await server.submit(tensor)`` and get the network output for
   their frame back, unaware of batching;
@@ -13,12 +13,10 @@ queue depth into throughput.  :class:`SessionServer` does exactly that:
   stragglers) into one
   :meth:`repro.engine.session.InferenceSession.run_batch` call, which
   groups the micro-batch by coordinate digest internally — so concurrent
-  requests over the same scene share one plan, one gather and one
-  scatter per offset;
+  requests over the same scene share one plan lookup and one dispatch;
 * results are **bit-identical** to per-request ``session.run`` calls,
-  for every execution backend (the batching contract of PR 2 plus the
-  backend-parity contract of this module's sibling
-  :mod:`repro.engine.backend`).
+  for every execution backend (the session's batching contract plus the
+  backend-parity contract of :mod:`repro.engine.backend`).
 
 ``python -m repro serve`` runs a self-contained demo: a rotating scene
 with several concurrent clients per frame, reporting sustained

@@ -29,7 +29,6 @@ from repro.nn import (
     SSUNet,
     UNetConfig,
     apply_rulebook,
-    apply_rulebook_batch,
     build_submanifold_rulebook,
 )
 from repro.nn.rulebook import build_sparse_conv_rulebook
@@ -124,8 +123,12 @@ def test_register_backend_overwrite_and_custom_backend():
         session = InferenceSession(
             unet_config=SMALL_CFG, precision="float32", backend="tracing"
         )
+        convs = sum(1 for p in session.net.parameters() if p.value.ndim == 3)
         session.run(frame(10))
-        assert session.backend.calls == 0  # float path uses execute_batch
+        assert session.backend.calls == convs  # one execute per conv
+        frames = batch_frames()
+        session.run_batch([frames[0], frames[3], frames[0]])  # one digest
+        assert session.backend.calls == 4 * convs  # per conv per frame
         assert session.stats.backend == "tracing"
     finally:
         backend_mod._REGISTRY.pop("tracing", None)
@@ -142,7 +145,6 @@ def test_capabilities_shape():
         caps = backend.capabilities()
         assert isinstance(caps, BackendCapabilities)
         assert caps.name == name == backend.name
-        assert caps.native_batch
         assert not caps.sharded  # in-process engines never fan out
         backend.close()
 
@@ -190,28 +192,30 @@ def test_execute_parity_strided_and_transposed(name):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_execute_batch_parity_and_integer_dtype(name):
+def test_execute_integer_codes_match_int64_engine(name):
+    """Integer codes held as float64, as the int precision passes them:
+    the float64 sums equal the int64 fused engine exactly.  Integer
+    dtypes are refused, since a backend summing int16 x int8 in its
+    own dtype would wrap."""
     tensor = frame(22, nnz=50, channels=2)
     rulebook = build_submanifold_rulebook(tensor, 3)
     backend = get_backend(name)
-    # Float batch.
-    stack = np.random.default_rng(3).standard_normal((4, tensor.nnz, 2))
-    weights = np.random.default_rng(4).standard_normal((27, 2, 5))
-    expected = apply_rulebook_batch(rulebook, stack, weights, tensor.nnz)
-    out = backend.execute_batch(rulebook, stack, weights, tensor.nnz)
-    assert out.dtype == expected.dtype
-    assert np.array_equal(out, expected)
-    # Integer codes held as float64, as the int precision passes them:
-    # the float64 sums equal the int64 fused engine exactly.
-    stack_q = np.rint(stack * 50)
-    weights_q = np.rint(weights * 3)
-    expected_q = apply_rulebook_batch(
-        rulebook, stack_q.astype(np.int64), weights_q.astype(np.int64),
+    rng = np.random.default_rng(3)
+    features_q = np.rint(rng.standard_normal((tensor.nnz, 2)) * 50)
+    weights_q = np.rint(rng.standard_normal((27, 2, 5)) * 3)
+    expected_q = apply_rulebook(
+        rulebook, features_q.astype(np.int64), weights_q.astype(np.int64),
         tensor.nnz,
     )
-    out_q = backend.execute_batch(rulebook, stack_q, weights_q, tensor.nnz)
-    assert out_q.dtype == np.float64
-    assert np.array_equal(out_q, expected_q)
+    for _ in range(2):  # cold then warm
+        out_q = backend.execute(rulebook, features_q, weights_q, tensor.nnz)
+        assert out_q.dtype == np.float64
+        assert np.array_equal(out_q, expected_q)
+    with pytest.raises(TypeError, match="int16"):
+        backend.execute(
+            rulebook, np.full((tensor.nnz, 2), 30000, dtype=np.int16),
+            np.full((27, 2, 5), 100, dtype=np.int8), tensor.nnz,
+        )
     backend.close()
 
 
@@ -235,20 +239,17 @@ def test_float64_codes_exact_at_bound_edge(name):
         coords, np.zeros((len(coords), in_channels)), (3, 3, 3)
     )
     rulebook = build_submanifold_rulebook(tensor, 3)
-    acts = np.full((2, tensor.nnz, in_channels), -(2.0 ** 15))
+    acts = np.full((tensor.nnz, in_channels), -(2.0 ** 15))
     weights = np.full((27, in_channels, 3), -(2.0 ** 7))
     exact = apply_rulebook(
-        rulebook, acts[0].astype(np.int64), weights.astype(np.int64),
+        rulebook, acts.astype(np.int64), weights.astype(np.int64),
         tensor.nnz,
     )
     assert exact.max() == 27 * in_channels * 2 ** 22
     backend = get_backend(name)
-    single = backend.execute(rulebook, acts[0], weights, tensor.nnz)
-    batched = backend.execute_batch(rulebook, acts, weights, tensor.nnz)
-    assert single.dtype == batched.dtype == np.float64
-    assert np.array_equal(single, exact)
-    for frame_out in batched:
-        assert np.array_equal(frame_out, exact)
+    out = backend.execute(rulebook, acts, weights, tensor.nnz)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, exact)
     backend.close()
 
 
@@ -261,21 +262,7 @@ def test_execute_empty_rulebook(name):
     backend = get_backend(name)
     out = backend.execute(rulebook, tensor.features, np.zeros((27, 2, 3)), 0)
     assert out.shape == (0, 3)
-    batched = backend.execute_batch(
-        rulebook, np.zeros((2, 0, 2)), np.zeros((27, 2, 3)), 0
-    )
-    assert batched.shape == (2, 0, 3)
     backend.close()
-
-
-def test_execute_batch_rejects_2d():
-    tensor = frame(23, nnz=15)
-    rulebook = build_submanifold_rulebook(tensor, 3)
-    for name in ("numpy", "scipy"):
-        with pytest.raises(ValueError, match=r"\(B, N, Cin\)"):
-            get_backend(name).execute_batch(
-                rulebook, tensor.features, np.zeros((27, 2, 3)), tensor.nnz
-            )
 
 
 # ----------------------------------------------------------------------
@@ -347,49 +334,54 @@ def test_scipy_degraded_batch_and_session_parity(monkeypatch):
     """Satellite: degraded-mode coverage beyond the CI no-scipy leg.
 
     With the scipy import seam forced closed, every surface of the
-    backend — single-frame, batched (float and integer codes), and a
-    full session run — must transparently produce the numpy engine's
-    bits.
+    backend — execute on float features and on integer codes held as
+    float64, the integer-dtype refusal, and a session's ``run`` and
+    ``run_batch`` — must transparently produce the numpy engine's bits.
     """
     monkeypatch.setattr(backend_mod, "_scipy_sparse", None)
     backend = ScipySparseBackend()
     caps = backend.capabilities()
     assert caps.degraded and caps.requires == "scipy"
-    assert caps.name == "scipy" and caps.native_batch
+    assert caps.name == "scipy"
 
     tensor = frame(33, nnz=40)
     rulebook = build_submanifold_rulebook(tensor, 3)
     rng = np.random.default_rng(7)
     weights = rng.standard_normal((27, 2, 4))
-    stack = rng.standard_normal((3, tensor.nnz, 2))
-    expected = apply_rulebook_batch(rulebook, stack, weights, tensor.nnz)
+    features = rng.standard_normal((tensor.nnz, 2))
+    expected = apply_rulebook(rulebook, features, weights, tensor.nnz)
     assert np.array_equal(
-        backend.execute_batch(rulebook, stack, weights, tensor.nnz), expected
+        backend.execute(rulebook, features, weights, tensor.nnz), expected
     )
-    int_stack = np.rint(stack * 50)
+    int_features = np.rint(features * 50)
     int_weights = np.ones((27, 2, 4))
-    int_out = backend.execute_batch(
-        rulebook, int_stack, int_weights, tensor.nnz
-    )
+    int_out = backend.execute(rulebook, int_features, int_weights, tensor.nnz)
     assert int_out.dtype == np.float64
     assert np.array_equal(
         int_out,
-        apply_rulebook_batch(
-            rulebook, int_stack.astype(np.int64),
+        apply_rulebook(
+            rulebook, int_features.astype(np.int64),
             int_weights.astype(np.int64), tensor.nnz,
         ),
     )
+    with pytest.raises(TypeError, match="int16"):
+        backend.execute(
+            rulebook, int_features.astype(np.int16),
+            int_weights.astype(np.int8), tensor.nnz,
+        )
 
+    frames = [tensor, tensor.with_features(rng.standard_normal((tensor.nnz, 2)))]
     for precision in ("float64", "float32", "int"):
         reference = InferenceSession(unet_config=SMALL_CFG, precision=precision)
         degraded = InferenceSession(
             unet_config=SMALL_CFG, precision=precision,
             backend=ScipySparseBackend(),
         )
-        want = reference.run(tensor)
-        got = degraded.run(tensor)
-        assert got.features.dtype == want.features.dtype
-        assert np.array_equal(got.features, want.features)
+        want = [reference.run(f) for f in frames]
+        got = [degraded.run(frames[0])] + degraded.run_batch(frames)
+        for out, ref in zip(got, want[:1] + want):
+            assert out.features.dtype == ref.features.dtype
+            assert np.array_equal(out.features, ref.features)
 
 
 def test_scipy_degraded_on_forced_import_failure_subprocess():

@@ -11,7 +11,6 @@ from repro.nn import (
     SSUNet,
     UNetConfig,
     apply_rulebook,
-    apply_rulebook_batch,
     build_sparse_conv_rulebook,
     build_submanifold_rulebook,
     collect_all_executions,
@@ -47,55 +46,7 @@ def expected_matching_passes(cfg: UNetConfig) -> int:
 
 
 # ----------------------------------------------------------------------
-# apply_rulebook_batch
-# ----------------------------------------------------------------------
-def test_apply_rulebook_batch_matches_per_frame():
-    rng = np.random.default_rng(0)
-    tensor = frame(1, nnz=70, channels=3)
-    rulebook = build_submanifold_rulebook(tensor, 3)
-    weights = rng.standard_normal((27, 3, 5))
-    stack = rng.standard_normal((4, tensor.nnz, 3))
-    batched = apply_rulebook_batch(rulebook, stack, weights, tensor.nnz)
-    for b in range(4):
-        single = apply_rulebook(rulebook, stack[b], weights, tensor.nnz)
-        assert np.array_equal(batched[b], single)
-
-
-def test_apply_rulebook_batch_integer_dtype():
-    tensor = frame(2, nnz=30, channels=2)
-    rulebook = build_submanifold_rulebook(tensor, 3)
-    stack = np.rint(
-        np.random.default_rng(3).standard_normal((2, tensor.nnz, 2)) * 50
-    ).astype(np.int16)
-    weights = np.ones((27, 2, 3), dtype=np.int8)
-    out = apply_rulebook_batch(rulebook, stack, weights, tensor.nnz)
-    assert out.dtype == np.int64
-    for b in range(2):
-        assert np.array_equal(
-            out[b], apply_rulebook(rulebook, stack[b], weights, tensor.nnz)
-        )
-
-
-def test_apply_rulebook_batch_rejects_2d():
-    tensor = frame(4, nnz=10)
-    rulebook = build_submanifold_rulebook(tensor, 3)
-    with pytest.raises(ValueError, match=r"\(B, N, Cin\)"):
-        apply_rulebook_batch(
-            rulebook, tensor.features, np.zeros((27, 4, 2)), tensor.nnz
-        )
-
-
-def test_apply_rulebook_batch_empty():
-    tensor = SparseTensor3D.empty((6, 6, 6), channels=2)
-    rulebook = build_submanifold_rulebook(tensor, 3)
-    out = apply_rulebook_batch(
-        rulebook, np.zeros((3, 0, 2)), np.zeros((27, 2, 4)), 0
-    )
-    assert out.shape == (3, 0, 4)
-
-
-# ----------------------------------------------------------------------
-# session.run — the network walk over stacked features and the plan
+# session.run — the per-frame network walk over the plan
 # ----------------------------------------------------------------------
 UNET_SHAPES = [(2, 2), (3, 1), (4, 1)]
 

@@ -44,9 +44,6 @@ class {name}:
     def execute(self, rulebook, feats, weights, num_outputs, stats=None):
         return 0
 
-    def execute_batch(self, rulebook, stack, weights, num_outputs, stats=None):
-        return 0
-
     def refresh(self, old_rulebook, new_rulebook, delta):
         return None
 
@@ -60,7 +57,6 @@ class {name}:
 SURFACE = (
     "prepare",
     "execute",
-    "execute_batch",
     "refresh",
     "capabilities",
     "close",

@@ -12,7 +12,6 @@ from repro.quant import (
     FixedPointFormat,
     QuantizedSubConv,
     calibrate_scale,
-    calibrate_scale_batch,
     dequantize,
     quantize,
     quantize_tensor,
@@ -69,32 +68,13 @@ def test_calibrate_scale_zero_tensor():
     assert scale > 0
 
 
-def test_calibrate_scale_batch_matches_per_frame():
-    rng = np.random.default_rng(7)
-    stack = rng.standard_normal((4, 6, 3))
-    stack[2] = 0.0  # all-zero frame falls back to the zero-tensor scale
-    batch = calibrate_scale_batch(stack, ACT_INT16)
-    expected = np.array(
-        [calibrate_scale(frame, ACT_INT16) for frame in stack]
-    )
-    assert batch.shape == (4,)
-    assert np.array_equal(batch, expected)
-    # per-frame scales broadcast through quantize identically
-    q_batch = quantize(stack, batch[:, None, None], ACT_INT16)
-    for i, frame in enumerate(stack):
-        assert np.array_equal(
-            q_batch[i], quantize(frame, batch[i], ACT_INT16)
-        )
-
-
-def test_calibrate_scale_batch_empty_batch():
-    scales = calibrate_scale_batch(np.empty((0, 5, 3)), ACT_INT16)
-    assert scales.shape == (0,)
-
-
-def test_calibrate_scale_batch_rejects_bad_headroom():
-    with pytest.raises(ValueError):
-        calibrate_scale_batch(np.ones((2, 3)), ACT_INT16, headroom=0.0)
+def test_calibrate_scale_rejects_bad_headroom():
+    """Headroom is checked before the all-zero shortcut, so a bad value
+    fails whatever the tensor holds."""
+    for values in (np.ones(3), np.zeros(3), np.empty(0)):
+        for headroom in (0.0, -1.0):
+            with pytest.raises(ValueError, match="headroom"):
+                calibrate_scale(values, ACT_INT16, headroom=headroom)
 
 
 def test_quantize_tensor_wrapper():
