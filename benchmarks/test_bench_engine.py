@@ -23,7 +23,7 @@ from repro.nn import (
     UNetConfig,
     apply_rulebook,
     apply_rulebook_reference,
-    build_submanifold_rulebook,
+    build_submanifold_rulebook_reference,
 )
 from repro.sparse.ops import sparse_allclose
 
@@ -57,8 +57,8 @@ def test_engine_beats_seed_path_5x(write_report):
 
     def seed_layer():
         # Exactly what the seed did per submanifold layer: rebuild the
-        # rulebook, then scatter through np.add.at.
-        rulebook = build_submanifold_rulebook(grid, 3)
+        # rulebook with per-offset matching, then scatter through np.add.at.
+        rulebook = build_submanifold_rulebook_reference(grid, 3)
         return apply_rulebook_reference(rulebook, grid.features, weights, grid.nnz)
 
     def engine_layer():

@@ -35,10 +35,10 @@ Both coordinate sets are stored canonically sorted, so the stable-row
 mapping ``old_to_new`` is *monotone increasing*: remapping the surviving
 pairs of a cached rulebook preserves their per-offset ordering, and the
 freshly matched pairs (which touch only added voxels) can be spliced in
-with one vectorized sorted merge per offset.  The from-scratch builders
-emit, per kernel offset, at most one pair per output row (submanifold)
-or input row (strided), ordered ascending — exactly what drop + remap +
-merge reproduces, array for array.
+with one vectorized sorted merge over all offsets.  The from-scratch
+builders emit, per kernel offset, at most one pair per output row
+(submanifold) or input row (strided), ordered ascending — exactly what
+drop + remap + merge reproduces, array for array.
 """
 
 from __future__ import annotations
@@ -51,12 +51,14 @@ from typing import Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.rulebook import (
-    GatherScatterPlan,
     Rulebook,
     RulebookCache,
     build_sparse_conv_rulebook,
     build_submanifold_rulebook,
     lookup_rows,
+    neighbor_key_steps,
+    probe_keys,
+    strided_cells,
 )
 from repro.sparse.coo import SparseTensor3D
 from repro.sparse.hashmap import pack_coords, unpack_coords
@@ -191,12 +193,101 @@ class RulebookDelta(CoordinateDelta):
         return self.old_to_new
 
 
-def _enrich(
+# ----------------------------------------------------------------------
+# The one-pass splice
+# ----------------------------------------------------------------------
+def _splice_pairs(
+    old_pairs: np.ndarray,
+    old_starts: np.ndarray,
+    in_map: np.ndarray,
+    out_map: np.ndarray,
+    fresh: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    width: int,
+    key_col: int,
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """Merge the surviving pairs of an old pair array with fresh ones.
+
+    The builders emit, per kernel offset, at most one pair per key
+    (``key_col`` 1 = output row for submanifold rulebooks, 0 = input row
+    for strided ones), ascending.  So an offset-major pair array is
+    sorted on the composite key ``offset * width + key``, and one merge
+    on that key rebuilds every offset at once:
+
+    1. the old pairs are remapped old -> new once; pairs touching a
+       removed site drop out, and the monotone maps keep the order;
+    2. ``fresh = (in_rows, out_rows, offsets)`` — the newly matched
+       pairs, sorted on the composite key — touch added sites only, so
+       their keys are disjoint from the kept ones;
+    3. one ``searchsorted`` places them.
+
+    Returns ``(pairs, segment_starts, fresh_slots)``: the merged array
+    (array for array what the from-scratch builder emits) and, per
+    offset, the positions of the fresh pairs inside its segment.
+    """
+    num_offsets = len(old_starts) - 1
+    kept_in = in_map[old_pairs[0]]
+    kept_out = out_map[old_pairs[1]]
+    # -1 is the only negative either map produces, so a pair survives
+    # exactly when the bitwise or of its mapped rows keeps the sign bit
+    # clear — one comparison instead of two.
+    keep = (kept_in | kept_out) >= 0
+    dropped = np.flatnonzero(~keep)
+    kept_sizes = np.diff(old_starts) - np.bincount(
+        np.searchsorted(old_starts, dropped, side="right") - 1,
+        minlength=num_offsets,
+    )
+    if len(dropped):
+        kept_in, kept_out = kept_in[keep], kept_out[keep]
+    fresh_in, fresh_out, fresh_off = fresh
+    kept_key = np.repeat(
+        np.arange(num_offsets, dtype=np.int64) * width, kept_sizes
+    )
+    kept_key += kept_out if key_col else kept_in
+    fresh_key = fresh_off * width + (fresh_out if key_col else fresh_in)
+    slots = np.searchsorted(kept_key, fresh_key) + np.arange(len(fresh_key))
+    size = len(kept_key) + len(fresh_key)
+    from_kept = np.ones(size, dtype=bool)
+    from_kept[slots] = False
+    pairs = np.empty((2, size), dtype=np.int64)
+    in_rows, out_rows = pairs
+    in_rows[slots] = fresh_in
+    in_rows[from_kept] = kept_in
+    out_rows[slots] = fresh_out
+    out_rows[from_kept] = kept_out
+    segment_starts = np.zeros(num_offsets + 1, dtype=np.int64)
+    np.cumsum(
+        kept_sizes + np.bincount(fresh_off, minlength=num_offsets),
+        out=segment_starts[1:],
+    )
+    bounds = np.searchsorted(
+        fresh_off, np.arange(num_offsets + 1, dtype=np.int64)
+    ).tolist()
+    fresh_slots = [
+        slots[bounds[k]:bounds[k + 1]] - segment_starts[k]
+        for k in range(num_offsets)
+    ]
+    return pairs, segment_starts, fresh_slots
+
+
+def _patched(
+    old: Rulebook,
     delta: CoordinateDelta,
     out_map: np.ndarray,
+    pairs: np.ndarray,
+    segment_starts: np.ndarray,
     fresh_slots: List[np.ndarray],
-) -> RulebookDelta:
-    return RulebookDelta(
+    num_outputs: int,
+) -> Rulebook:
+    """The patched rulebook, carrying its :class:`RulebookDelta`."""
+    rulebook = Rulebook.from_flat(
+        kernel_size=old.kernel_size,
+        offsets=old.offsets,
+        pairs=pairs,
+        segment_starts=segment_starts,
+        num_inputs=delta.new_size,
+        num_outputs=num_outputs,
+    )
+    rulebook._splice = RulebookDelta(
         old_keys=delta.old_keys,
         new_keys=delta.new_keys,
         old_to_new=delta.old_to_new,
@@ -204,122 +295,7 @@ def _enrich(
         out_map=out_map,
         fresh_slots=tuple(fresh_slots),
     )
-
-
-# ----------------------------------------------------------------------
-# Pair splicing primitives
-# ----------------------------------------------------------------------
-def _empty_rule() -> np.ndarray:
-    return np.zeros((0, 2), dtype=np.int64)
-
-
-_NO_SLOTS = np.zeros(0, dtype=np.int64)
-_EMPTY_COL = np.zeros(0, dtype=np.int64)
-
-
-def _remap_columns(
-    rule: np.ndarray,
-    in_map: np.ndarray,
-    out_map: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Surviving pair columns of one offset, rows remapped old -> new.
-
-    Pairs whose input or output voxel was removed are dropped; both maps
-    are monotone over stable rows, so the result keeps the original
-    per-offset ordering.  Columns come back as two contiguous 1-D
-    arrays — the layout the gather/scatter plan consumes directly.
-    """
-    if len(rule) == 0:
-        return _EMPTY_COL, _EMPTY_COL
-    mapped_in = in_map[rule[:, 0]]
-    mapped_out = out_map[rule[:, 1]]
-    # -1 is the only negative either map produces, so a pair survives
-    # exactly when the bitwise or of its mapped rows keeps the sign bit
-    # clear — one comparison instead of two.
-    keep = (mapped_in | mapped_out) >= 0
-    if keep.all():
-        return mapped_in, mapped_out
-    return mapped_in[keep], mapped_out[keep]
-
-
-def _merge_columns(
-    kept_in: np.ndarray,
-    kept_out: np.ndarray,
-    fresh_in: np.ndarray,
-    fresh_out: np.ndarray,
-    key_col: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge kept and fresh pair columns sorted (and unique) on the key.
-
-    The from-scratch builders emit at most one pair per key per offset
-    (``key_col`` 0 = input row, 1 = output row), and kept/fresh key sets
-    are disjoint (fresh pairs touch added voxels, kept pairs only stable
-    ones), so a single vectorized sorted merge reproduces the
-    from-scratch rule exactly.  Returns ``(in_col, out_col,
-    fresh_slots)`` — the merged columns plus the slot positions the
-    fresh pairs landed on (the per-offset splice provenance carried by
-    :class:`RulebookDelta`).
-    """
-    if len(fresh_in) == 0:
-        return kept_in, kept_out, _NO_SLOTS
-    if len(kept_in) == 0:
-        return fresh_in, fresh_out, np.arange(len(fresh_in), dtype=np.int64)
-    kept_key = kept_out if key_col else kept_in
-    fresh_key = fresh_out if key_col else fresh_in
-    positions = np.searchsorted(kept_key, fresh_key)
-    slots = positions + np.arange(len(fresh_in))
-    size = len(kept_in) + len(fresh_in)
-    in_col = np.empty(size, dtype=np.int64)
-    out_col = np.empty(size, dtype=np.int64)
-    kept_mask = np.ones(size, dtype=bool)
-    kept_mask[slots] = False
-    in_col[slots] = fresh_in
-    in_col[kept_mask] = kept_in
-    out_col[slots] = fresh_out
-    out_col[kept_mask] = kept_out
-    return in_col, out_col, slots
-
-
-def _assemble_rules(
-    in_cols: List[np.ndarray], out_cols: List[np.ndarray]
-) -> List[np.ndarray]:
-    """Stack per-offset columns back into the public ``(n, 2)`` rules."""
-    return [
-        np.stack([i, o], axis=1) if len(i) else _empty_rule()
-        for i, o in zip(in_cols, out_cols)
-    ]
-
-
-def _seed_plan(
-    rulebook: Rulebook,
-    in_cols: List[np.ndarray],
-    out_cols: List[np.ndarray],
-) -> None:
-    """Pre-seed the rulebook's :class:`GatherScatterPlan` from the merge.
-
-    The spliced columns *are* the plan's flat arrays (concatenated
-    offset-major input rows, contiguous per-offset output rows), so the
-    patcher hands them over instead of letting ``Rulebook.plan()``
-    re-extract them from the stacked rules with strided copies — every
-    plan consumer (backend lowering, the fused engine) starts warm.
-    Array-for-array identical to a lazily built plan; asserted in the
-    delta property suite.
-    """
-    sizes = [len(col) for col in out_cols]
-    segment_starts = np.zeros(len(out_cols) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=segment_starts[1:])
-    total = int(segment_starts[-1])
-    if total:
-        in_rows = np.concatenate([col for col in in_cols if len(col)])
-    else:
-        in_rows = np.zeros(0, dtype=np.int64)
-    rulebook._plan = GatherScatterPlan(
-        in_rows=in_rows,
-        segment_starts=segment_starts,
-        out_rows=list(out_cols),
-        active_offsets=[k for k, size in enumerate(sizes) if size],
-        total_matches=total,
-    )
+    return rulebook
 
 
 # ----------------------------------------------------------------------
@@ -335,71 +311,53 @@ def patch_submanifold_rulebook(
 
     Surviving pairs (both endpoints stable) are row-remapped; pairs
     touching a removed voxel are dropped by the remap; pairs touching an
-    added voxel are re-matched locally — for each added output site its
-    full neighborhood, and for each added input site the stable outputs
-    it newly serves.  The result is bit-identical to
+    added voxel are re-matched locally, for all ``K^3`` offsets in two
+    ``(K^3, A)`` key blocks (:func:`repro.nn.rulebook.neighbor_key_steps`):
+    each added output site's full neighbourhood, and the stable outputs
+    each added input site newly serves.  One merge splices them in.  The
+    result is bit-identical to
     :func:`repro.nn.rulebook.build_submanifold_rulebook` on the new set.
+    The probe works on packed keys alone; ``new_coords`` is accepted for
+    symmetry with :func:`patch_sparse_conv_rulebook`.
     """
-    if new_coords is None:
-        new_coords = unpack_coords(delta.new_keys)
+    del new_coords
+    _, steps = neighbor_key_steps(shape, old.kernel_size)
     new_keys = delta.new_keys
-    shape_arr = np.asarray(shape, dtype=np.int64)
+    num = delta.new_size
     added = delta.added_new_rows
-    added_flags = np.zeros(delta.new_size, dtype=bool)
-    added_flags[added] = True
-    added_coords = new_coords[added]
-    in_cols: List[np.ndarray] = []
-    out_cols: List[np.ndarray] = []
-    fresh_slots: List[np.ndarray] = []
-    # per-offset loop (K^3 iterations) splicing one rule list per offset;
-    # each iteration is vectorized over all rows
-    for k, offset in enumerate(old.offsets):  # repro-lint: disable=hot-path
-        kept_in, kept_out = _remap_columns(
-            old.rules[k], delta.old_to_new, delta.old_to_new
-        )
-        # Fresh pairs with an *added output* p: input is p + offset.
-        neighbor = added_coords + offset[None, :]
-        in_bounds = np.all(
-            (neighbor >= 0) & (neighbor < shape_arr[None, :]), axis=1
-        )
-        in_rows = lookup_rows(new_keys, pack_coords(neighbor[in_bounds]))
-        valid = in_rows >= 0
-        # Fresh pairs with an *added input* a serving a stable output
-        # q = a - offset (added outputs were covered above).
-        source = added_coords - offset[None, :]
-        src_bounds = np.all(
-            (source >= 0) & (source < shape_arr[None, :]), axis=1
-        )
-        out_rows = lookup_rows(new_keys, pack_coords(source[src_bounds]))
-        stable_out = (out_rows >= 0) & ~added_flags[np.maximum(out_rows, 0)]
-        fresh_in = np.concatenate(
-            [in_rows[valid], added[src_bounds][stable_out]]
-        )
-        fresh_out = np.concatenate(
-            [added[in_bounds][valid], out_rows[stable_out]]
-        )
-        if len(fresh_out) > 1:
-            # Output rows are unique within one offset (disjoint between
-            # the two fresh sources as well), so a plain sort suffices.
-            order = np.argsort(fresh_out)
-            fresh_in = fresh_in[order]
-            fresh_out = fresh_out[order]
-        in_col, out_col, slots = _merge_columns(
-            kept_in, kept_out, fresh_in, fresh_out, key_col=1
-        )
-        in_cols.append(in_col)
-        out_cols.append(out_col)
-        fresh_slots.append(slots)
-    rulebook = Rulebook(
-        kernel_size=old.kernel_size,
-        offsets=old.offsets,
-        rules=_assemble_rules(in_cols, out_cols),
-        num_inputs=delta.new_size,
-        num_outputs=delta.new_size,
+    num_added = max(len(added), 1)
+    added_keys = new_keys[added][None, :]
+    # Added output p: its input under offset d is p + d.
+    at_out, in_rows = probe_keys(
+        new_keys, (added_keys + steps[:, None]).ravel()
     )
-    _seed_plan(rulebook, in_cols, out_cols)
-    rulebook._splice = _enrich(delta, delta.old_to_new, fresh_slots)
-    return rulebook
+    # Added input a: it serves output q = a - d; added outputs were
+    # covered above, so only stable q count.
+    at_in, out_rows = probe_keys(
+        new_keys, (added_keys - steps[:, None]).ravel()
+    )
+    added_flags = np.zeros(num, dtype=bool)
+    added_flags[added] = True
+    stable = ~added_flags[out_rows]
+    at_in, out_rows = at_in[stable], out_rows[stable]
+    fresh_in = np.concatenate([in_rows, added[at_in % num_added]])
+    fresh_out = np.concatenate([added[at_out % num_added], out_rows])
+    fresh_off = np.concatenate([at_out // num_added, at_in // num_added])
+    # Output rows are unique within one offset (and disjoint between the
+    # two sources), so the composite key has no ties.
+    order = np.argsort(fresh_off * max(num, 1) + fresh_out)
+    pairs, segment_starts, fresh_slots = _splice_pairs(
+        old.flat_pairs(),
+        old.plan().segment_starts,
+        delta.old_to_new,
+        delta.old_to_new,
+        (fresh_in[order], fresh_out[order], fresh_off[order]),
+        max(num, 1),
+        key_col=1,
+    )
+    return _patched(
+        old, delta, delta.old_to_new, pairs, segment_starts, fresh_slots, num
+    )
 
 
 # ----------------------------------------------------------------------
@@ -421,34 +379,6 @@ def _merge_sorted_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return merged
 
 
-def _strided_candidate_cells(
-    coords: np.ndarray, kernel_size: int, stride: int
-) -> np.ndarray:
-    """Packed keys (sorted, unique) of every output cell whose input
-    window ``[q * stride, q * stride + kernel)`` contains a coordinate.
-
-    An input voxel reaches at most ``ceil(kernel / stride)`` cells per
-    axis, so the scan is a small fixed fan-out per changed voxel — the
-    locality that makes overlapping geometries patchable.
-    """
-    if len(coords) == 0:
-        return np.zeros(0, dtype=np.int64)
-    base = coords // stride
-    reach = -(-kernel_size // stride)  # ceil
-    cells: List[np.ndarray] = []
-    # per-shift loop (<= reach^3 iterations), not per-element
-    for shift in np.ndindex(reach, reach, reach):  # repro-lint: disable=hot-path
-        q = base - np.asarray(shift, dtype=np.int64)[None, :]
-        valid = np.all(q >= 0, axis=1) & np.all(
-            q * stride + kernel_size > coords, axis=1
-        )
-        if valid.any():
-            cells.append(q[valid])
-    if not cells:
-        return np.zeros(0, dtype=np.int64)
-    return np.unique(pack_coords(np.concatenate(cells, axis=0)))
-
-
 def _patched_down_keys(
     old_out_keys: np.ndarray,
     delta: CoordinateDelta,
@@ -465,7 +395,7 @@ def _patched_down_keys(
     are *born* (an added input sits in their window, so they exist by
     construction), and cells reached by removed inputs *die* exactly
     when their window holds no surviving input — tested with one probe
-    per kernel offset over the (few) affected cells.
+    over the ``(K^3, D)`` window block of the (few) affected cells.
     """
     if kernel_size == stride:
         # pack order equals lexicographic row order, so this reproduces
@@ -473,29 +403,23 @@ def _patched_down_keys(
         return np.unique(pack_coords(new_coords // stride))
     added_coords = new_coords[delta.added_new_rows]
     removed_coords = unpack_coords(delta.old_keys[delta.old_to_new < 0])
-    birth_candidates = _strided_candidate_cells(
-        added_coords, kernel_size, stride
+    # A changed input reaches at most ceil(kernel / stride)^3 cells.
+    birth_candidates = np.unique(
+        strided_cells(added_coords, kernel_size, stride)[1]
     )
     births = birth_candidates[
         lookup_rows(old_out_keys, birth_candidates) < 0
     ]
-    death_candidates = _strided_candidate_cells(
-        removed_coords, kernel_size, stride
+    death_candidates = np.unique(
+        strided_cells(removed_coords, kernel_size, stride)[1]
     )
     death_candidates = death_candidates[
         lookup_rows(old_out_keys, death_candidates) >= 0
     ]
-    if len(death_candidates):
-        cells = unpack_coords(death_candidates)
-        occupied = np.zeros(len(cells), dtype=bool)
-        for offset in offsets:
-            probes = cells * stride + offset[None, :]
-            occupied |= lookup_rows(delta.new_keys, pack_coords(probes)) >= 0
-            if occupied.all():
-                break
-        deaths = death_candidates[~occupied]
-    else:
-        deaths = np.zeros(0, dtype=np.int64)
+    window = unpack_coords(death_candidates)[None] * stride + offsets[:, None]
+    hits = lookup_rows(delta.new_keys, pack_coords(window.reshape(-1, 3)))
+    occupied = (hits.reshape(len(offsets), -1) >= 0).any(axis=0)
+    deaths = death_candidates[~occupied]
     survivors = old_out_keys[lookup_rows(deaths, old_out_keys) < 0]
     return _merge_sorted_keys(survivors, births)
 
@@ -539,48 +463,33 @@ def patch_sparse_conv_rulebook(
         stride,
         new_coords,
     )
-    out_coords = unpack_coords(down_keys)
     # Old output row -> new output row (monotone; the cells of stable
     # inputs always survive, cells supported only by removed inputs
     # vanish).
     out_map = lookup_rows(down_keys, pack_coords(old_out_coords))
     added = delta.added_new_rows
-    added_coords = new_coords[added]
-    in_cols: List[np.ndarray] = []
-    out_cols: List[np.ndarray] = []
-    fresh_slots: List[np.ndarray] = []
-    # per-offset loop (K^3 iterations) splicing one rule list per offset;
-    # each iteration is vectorized over all rows
-    for k, offset in enumerate(old.offsets):  # repro-lint: disable=hot-path
-        kept_in, kept_out = _remap_columns(
-            old.rules[k], delta.old_to_new, out_map
-        )
-        # Fresh pairs: each added input p contributes to cell
-        # (p - offset) / stride exactly when p aligns with the offset.
-        shifted = added_coords - offset[None, :]
-        aligned = np.all(shifted % stride == 0, axis=1) & np.all(
-            shifted >= 0, axis=1
-        )
-        cells = shifted[aligned] // stride
-        out_rows = lookup_rows(down_keys, pack_coords(cells))
-        valid = out_rows >= 0
-        in_col, out_col, slots = _merge_columns(
-            kept_in, kept_out, added[aligned][valid], out_rows[valid],
-            key_col=0,
-        )
-        in_cols.append(in_col)
-        out_cols.append(out_col)
-        fresh_slots.append(slots)
-    rulebook = Rulebook(
-        kernel_size=old.kernel_size,
-        offsets=old.offsets,
-        rules=_assemble_rules(in_cols, out_cols),
-        num_inputs=delta.new_size,
-        num_outputs=len(out_coords),
+    # Fresh pairs: added input p reaches cell (p - d) / stride under
+    # every offset d it aligns with; the cell exists by construction.
+    slots, cell_keys = strided_cells(new_coords[added], old.kernel_size, stride)
+    found, out_rows = probe_keys(down_keys, cell_keys)
+    slots = slots[found]
+    num_added = max(len(added), 1)
+    # The slots ascend offset-major with ascending input rows: already
+    # sorted on the (offset, input row) composite key.
+    fresh = (added[slots % num_added], out_rows, slots // num_added)
+    pairs, segment_starts, fresh_slots = _splice_pairs(
+        old.flat_pairs(),
+        old.plan().segment_starts,
+        delta.old_to_new,
+        out_map,
+        fresh,
+        max(delta.new_size, 1),
+        key_col=0,
     )
-    _seed_plan(rulebook, in_cols, out_cols)
-    rulebook._splice = _enrich(delta, out_map, fresh_slots)
-    return rulebook, out_coords
+    rulebook = _patched(
+        old, delta, out_map, pairs, segment_starts, fresh_slots, len(down_keys)
+    )
+    return rulebook, unpack_coords(down_keys)
 
 
 def patch_rulebook(

@@ -16,7 +16,9 @@ from repro.nn.rulebook import (
     Rulebook,
     RulebookCache,
     build_sparse_conv_rulebook,
+    build_sparse_conv_rulebook_reference,
     build_submanifold_rulebook,
+    build_submanifold_rulebook_reference,
     kernel_offsets,
 )
 from repro.nn.functional import (
@@ -62,6 +64,8 @@ __all__ = [
     "kernel_offsets",
     "build_submanifold_rulebook",
     "build_sparse_conv_rulebook",
+    "build_submanifold_rulebook_reference",
+    "build_sparse_conv_rulebook_reference",
     "submanifold_conv3d",
     "sparse_conv3d",
     "sparse_inverse_conv3d",

@@ -6,20 +6,24 @@ convolution this is exactly the paper's matching operation (Sec. III-B/C):
 each nonzero activation is located and its nonzero neighbors are searched;
 each pair corresponds to one *match* ``(A_a, W_b)_c`` in Fig. 5.
 
-Construction is vectorized over the sorted packed coordinate keys, which
-doubles as a correctness oracle for the hardware SDMU model.
+Like the paper's SDMU, matching is one regular stream over sorted,
+encoded coordinates: each builder forms the keys of all ``K^3`` offsets
+as one block and probes the sorted packed keys once per scale.  The
+per-offset builders the engine started from are kept as
+``*_reference`` correctness oracles.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.sparse.coo import SparseTensor3D
-from repro.sparse.hashmap import pack_coords
+from repro.sparse.hashmap import _AXIS_BITS, pack_coords, unpack_coords
 
 
 def kernel_offsets(kernel_size: int, center: bool = True) -> np.ndarray:
@@ -93,6 +97,8 @@ class Rulebook:
     _transposed: Optional["Rulebook"] = field(
         default=None, repr=False, compare=False
     )
+    #: The ``(2, M)`` pair array behind :meth:`flat_pairs`.
+    _pairs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     #: Patch provenance (a :class:`repro.engine.delta.RulebookDelta`) set
     #: by the delta engine's patchers: which pairs were freshly matched
     #: and how old rows map onto new ones.  Backends use it to splice
@@ -143,6 +149,60 @@ class Rulebook:
             )
         return self._plan
 
+    def flat_pairs(self) -> np.ndarray:
+        """The ``(2, M)`` offset-major pair array: input rows, output rows.
+
+        Rulebooks made by :meth:`from_flat` view theirs; others assemble
+        it once from the plan.
+        """
+        if self._pairs is None:
+            plan = self.plan()
+            pairs = np.empty((2, plan.total_matches), dtype=np.int64)
+            pairs[0] = plan.in_rows
+            if plan.total_matches:
+                np.concatenate(plan.out_rows, out=pairs[1])
+            self._pairs = pairs
+        return self._pairs
+
+    @classmethod
+    def from_flat(
+        cls,
+        kernel_size: int,
+        offsets: np.ndarray,
+        pairs: np.ndarray,
+        segment_starts: np.ndarray,
+        num_inputs: int,
+        num_outputs: int,
+    ) -> "Rulebook":
+        """A rulebook over one ``(2, M)`` int64 pair array, plan pre-seeded.
+
+        Row 0 of ``pairs`` holds input rows and row 1 output rows, offset
+        major: offset ``k`` owns columns ``[segment_starts[k],
+        segment_starts[k + 1])``.  Nothing is copied — each rule is the
+        ``(n_k, 2)`` transposed view of its columns, and the
+        :class:`GatherScatterPlan` arrays are contiguous row slices, array
+        for array what a lazy :meth:`plan` would extract from ``rules``.
+        Every builder and patcher constructs through here.
+        """
+        bounds = segment_starts.tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        rulebook = cls(
+            kernel_size=kernel_size,
+            offsets=offsets,
+            rules=[pairs[:, start:stop].T for start, stop in spans],
+            num_inputs=num_inputs,
+            num_outputs=num_outputs,
+        )
+        rulebook._pairs = pairs
+        rulebook._plan = GatherScatterPlan(
+            in_rows=pairs[0],
+            segment_starts=segment_starts,
+            out_rows=[pairs[1, start:stop] for start, stop in spans],
+            active_offsets=[k for k, (start, stop) in enumerate(spans) if stop > start],
+            total_matches=int(bounds[-1]),
+        )
+        return rulebook
+
     def transposed(self) -> "Rulebook":
         """The rulebook with input and output roles swapped (memoized).
 
@@ -150,16 +210,16 @@ class Rulebook:
         strided convolution: forward rule ``p -> q`` under offset ``d``
         becomes ``q -> p``.  The ``offsets`` array is kept as the forward
         offsets (it indexes the shared weight tensor), only the row roles
-        swap.  Output-row uniqueness per offset is preserved, because each
+        swap — a view of the same pair array with its rows reversed.
+        Output-row uniqueness per offset is preserved, because each
         forward input row appears at most once per offset.
         """
         if self._transposed is None:
-            self._transposed = Rulebook(
+            self._transposed = Rulebook.from_flat(
                 kernel_size=self.kernel_size,
                 offsets=self.offsets,
-                rules=[
-                    np.ascontiguousarray(rule[:, ::-1]) for rule in self.rules
-                ],
+                pairs=self.flat_pairs()[::-1],
+                segment_starts=self.plan().segment_starts,
                 num_inputs=self.num_outputs,
                 num_outputs=self.num_inputs,
             )
@@ -174,24 +234,110 @@ class Rulebook:
         return 2 * self.effective_macs(in_channels, out_channels)
 
 
-def lookup_rows(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
-    """Row index of each query key in ``sorted_keys`` or -1 when absent.
+def probe_keys(
+    sorted_keys: np.ndarray, query_keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(positions, rows)`` of the query keys present in ``sorted_keys``.
 
     ``sorted_keys`` must be ascending and duplicate-free (the packed-key
-    order of a canonical coordinate array).  Shared by the rulebook
-    builders here and the delta engine (:mod:`repro.engine.delta`) —
-    one implementation of the sorted-membership probe, not three.
+    order of a canonical coordinate array).  One ``searchsorted`` over
+    all queries; only the hits come back — their ascending positions in
+    ``query_keys`` and the matching rows of ``sorted_keys``.  The one
+    sorted-membership probe shared by the builders here and the delta
+    engine (:mod:`repro.engine.delta`).
     """
-    idx = np.searchsorted(sorted_keys, query_keys)
-    idx = np.clip(idx, 0, len(sorted_keys) - 1) if len(sorted_keys) else idx
     if len(sorted_keys) == 0:
-        return np.full(len(query_keys), -1, dtype=np.int64)
-    found = sorted_keys[idx] == query_keys
-    return np.where(found, idx, -1)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    idx = np.searchsorted(sorted_keys, query_keys)
+    np.minimum(idx, len(sorted_keys) - 1, out=idx)
+    positions = np.flatnonzero(sorted_keys[idx] == query_keys)
+    return positions, idx[positions]
 
 
-#: Backwards-compatible private alias (pre-delta-engine name).
-_lookup_rows = lookup_rows
+def lookup_rows(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
+    """Row index of each query key in ``sorted_keys`` or -1 when absent."""
+    rows = np.full(len(query_keys), -1, dtype=np.int64)
+    positions, found = probe_keys(sorted_keys, query_keys)
+    rows[positions] = found
+    return rows
+
+
+def _check_grid(shape: Tuple[int, int, int], pad: int) -> None:
+    """Reject grids whose extent padded by ``pad`` per side exceeds a key field."""
+    if any(int(extent) + 2 * pad > 1 << _AXIS_BITS for extent in shape):
+        raise ValueError(
+            f"grid {tuple(shape)} padded by {pad} per side exceeds the "
+            f"{1 << _AXIS_BITS} sites per axis a packed key can address"
+        )
+
+
+@lru_cache(maxsize=8)
+def _centered_steps(kernel_size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(offsets, steps)`` of :func:`neighbor_key_steps`."""
+    pad = kernel_size // 2
+    offsets = kernel_offsets(kernel_size, center=True)
+    pad_key = pack_coords(np.full((1, 3), pad, dtype=np.int64))
+    steps = pack_coords(offsets + pad) - pad_key
+    offsets.setflags(write=False)
+    steps.setflags(write=False)
+    return offsets, steps
+
+
+def neighbor_key_steps(
+    shape: Tuple[int, int, int], kernel_size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Centered kernel offsets and the packed-key step of each offset.
+
+    Packing is linear on non-negative 21-bit fields.  Pad the grid by
+    ``K // 2`` per side: every site ``p`` and every neighbour ``p + d``,
+    in the grid or outside it, then has padded coordinates in
+    ``[0, shape + 2 * (K // 2))``, which fits a field when that extent
+    is at most ``2**21`` per axis.  On that domain the key of ``p + d``
+    is ``key(p) + step(d)`` with ``step(d) = key(d + pad) - key(pad)``,
+    and packing is injective there, so ``key(p) + step(d)`` equals the
+    key of an active site ``s`` exactly when ``p + d == s``.  Out-of-grid
+    neighbours can never match, and no bounds mask is needed.  Grids
+    beyond that extent raise ``ValueError``.  Both arrays are shared and
+    read-only.
+    """
+    _check_grid(shape, kernel_size // 2)
+    return _centered_steps(int(kernel_size))
+
+
+def strided_cells(
+    coords: np.ndarray, kernel_size: int, stride: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``(offset, input)`` pair of a strided conv and its cell key.
+
+    Input ``p`` reaches output cell ``q`` under corner offset ``d`` when
+    ``p - d == q * stride`` with ``q >= 0``.  Alignment and the cell
+    index are separable per axis, so they are computed on ``(3, K, N)``
+    and combined over the whole ``(K^3, N)`` block at once.  Returns
+    ``(slots, cell_keys)``: the ascending positions of the valid pairs
+    in the flattened offset-major block (``slot // N`` is the offset,
+    ``slot % N`` the input row) and the packed key of each pair's cell.
+    """
+    k = int(kernel_size)
+    shifted = coords.T[:, None, :] - np.arange(k, dtype=np.int64)[None, :, None]
+    cells, rem = np.divmod(shifted, stride)
+    ok = (rem == 0) & (cells >= 0)
+    valid = ok[0][:, None, None, :] & ok[1][None, :, None, :] & ok[2][None, None]
+    slots = np.flatnonzero(valid)
+    # Packing is linear; unaligned or negative cells get garbage keys
+    # that the valid mask drops.
+    keys = (
+        (cells[0] * (1 << 2 * _AXIS_BITS))[:, None, None, :]
+        + (cells[1] * (1 << _AXIS_BITS))[None, :, None, :]
+        + cells[2][None, None]
+    )
+    return slots, keys.ravel()[slots]
+
+
+def _segment_starts(slots: np.ndarray, num_offsets: int, width: int) -> np.ndarray:
+    """Per-offset boundaries of ascending slots into a ``(K^3, width)`` block."""
+    return np.searchsorted(
+        slots, np.arange(num_offsets + 1, dtype=np.int64) * width
+    ).astype(np.int64, copy=False)
 
 
 def build_submanifold_rulebook(
@@ -201,13 +347,76 @@ def build_submanifold_rulebook(
 
     The output sites equal the input sites.  For output site ``p`` and
     centered offset ``d``, an input contribution exists when ``p + d`` is
-    active: ``out[p] += W[d] @ in[p + d]``.
+    active: ``out[p] += W[d] @ in[p + d]``.  All ``K^3`` neighbour keys
+    are formed as one ``(K^3, N)`` block (:func:`neighbor_key_steps`) and
+    probed with one ``searchsorted``; the hits, read offset-major, are
+    the rulebook's pair array.
+    """
+    offsets, steps = neighbor_key_steps(tensor.shape, kernel_size)
+    # SparseTensor3D stores coords lexicographically sorted, so the packed
+    # keys are ascending and searchsorted applies directly.
+    keys = pack_coords(tensor.coords)
+    num = len(keys)
+    slots, hits = probe_keys(keys, (keys[None, :] + steps[:, None]).ravel())
+    pairs = np.empty((2, len(slots)), dtype=np.int64)
+    pairs[0] = hits
+    np.remainder(slots, max(num, 1), out=pairs[1])
+    return Rulebook.from_flat(
+        kernel_size=kernel_size,
+        offsets=offsets,
+        pairs=pairs,
+        segment_starts=_segment_starts(slots, len(offsets), num),
+        num_inputs=num,
+        num_outputs=num,
+    )
+
+
+def build_sparse_conv_rulebook(
+    tensor: SparseTensor3D, kernel_size: int = 2, stride: int = 2
+) -> Tuple[Rulebook, np.ndarray]:
+    """Matching for a strided (non-submanifold) sparse convolution.
+
+    Returns the rulebook and the output coordinates.  Offsets are
+    corner-based (``[0, K)``): input ``p`` contributes to output ``q``
+    under offset ``d`` when ``p == q * stride + d``.  An output site
+    exists exactly when some pair reaches it, so one ``np.unique`` over
+    the cell keys of every pair (:func:`strided_cells`) yields both the
+    sorted output coordinates and each pair's output row.
+    """
+    if stride <= 0:
+        raise ValueError(f"stride must be positive, got {stride}")
+    _check_grid(tensor.shape, 0)
+    offsets = kernel_offsets(kernel_size, center=False)
+    num = len(tensor.coords)
+    slots, cell_keys = strided_cells(tensor.coords, kernel_size, stride)
+    out_keys, out_rows = np.unique(cell_keys, return_inverse=True)
+    pairs = np.empty((2, len(slots)), dtype=np.int64)
+    np.remainder(slots, max(num, 1), out=pairs[0])
+    pairs[1] = out_rows
+    rulebook = Rulebook.from_flat(
+        kernel_size=kernel_size,
+        offsets=offsets,
+        pairs=pairs,
+        segment_starts=_segment_starts(slots, len(offsets), num),
+        num_inputs=num,
+        num_outputs=len(out_keys),
+    )
+    return rulebook, unpack_coords(out_keys)
+
+
+def build_submanifold_rulebook_reference(
+    tensor: SparseTensor3D, kernel_size: int = 3
+) -> Rulebook:
+    """Per-offset submanifold matching, kept as the correctness oracle.
+
+    One bounds-masked ``searchsorted`` pass per kernel offset — the
+    matching the engine started from.  :func:`build_submanifold_rulebook`
+    must reproduce it rule for rule (asserted in the test suite), and the
+    engine benchmark times it as the seed's per-layer path.
     """
     offsets = kernel_offsets(kernel_size, center=True)
     coords = tensor.coords
-    # SparseTensor3D stores coords lexicographically sorted, so the packed
-    # keys are ascending and searchsorted applies directly.
-    keys = pack_coords(coords) if len(coords) else np.zeros(0, dtype=np.int64)
+    keys = pack_coords(coords)
     shape = np.asarray(tensor.shape, dtype=np.int64)
     rules: List[np.ndarray] = []
     out_rows_all = np.arange(len(coords), dtype=np.int64)
@@ -218,7 +427,7 @@ def build_submanifold_rulebook(
         in_bounds = np.all((neighbor >= 0) & (neighbor < shape[None, :]), axis=1)
         rows = np.full(len(coords), -1, dtype=np.int64)
         if in_bounds.any():
-            rows[in_bounds] = _lookup_rows(keys, pack_coords(neighbor[in_bounds]))
+            rows[in_bounds] = lookup_rows(keys, pack_coords(neighbor[in_bounds]))
         valid = rows >= 0
         rules.append(
             np.stack([rows[valid], out_rows_all[valid]], axis=1).astype(np.int64)
@@ -232,23 +441,21 @@ def build_submanifold_rulebook(
     )
 
 
-def downsampled_coords(
-    coords: np.ndarray, kernel_size: int, stride: int
-) -> np.ndarray:
-    """Output coordinates of a strided sparse convolution (sorted, unique).
+def build_sparse_conv_rulebook_reference(
+    tensor: SparseTensor3D, kernel_size: int = 2, stride: int = 2
+) -> Tuple[Rulebook, np.ndarray]:
+    """Per-offset strided matching, kept as the correctness oracle.
 
-    An output site ``q`` exists when any input ``p`` satisfies
-    ``q * stride <= p < q * stride + K`` per axis.  With the usual
-    ``K == stride`` downsampling this is just ``unique(p // stride)``.
+    Output sites come from one pass per cell shift (``q`` exists when
+    some input lies in ``[q * stride, q * stride + K)`` per axis), then
+    each kernel offset probes them once.  :func:`build_sparse_conv_rulebook`
+    must reproduce both results exactly (asserted in the test suite).
     """
-    if kernel_size == stride:
-        down = coords // stride
-        return np.unique(down, axis=0)
-    if not len(coords):
-        return np.zeros((0, 3), dtype=np.int64)
+    if stride <= 0:
+        raise ValueError(f"stride must be positive, got {stride}")
+    coords = tensor.coords
     # An input p activates q = p // stride - s per axis for the shifts s
-    # with s * stride < K, i.e. s < ceil(K / stride): one vectorized pass
-    # over all points per shift instead of a Python loop per point.
+    # with s * stride < K, i.e. s < ceil(K / stride).
     base = coords // stride
     reach = -(-kernel_size // stride)
     cells = []
@@ -260,27 +467,11 @@ def downsampled_coords(
         )
         if valid.any():
             cells.append(q[valid])
-    if not cells:
-        return np.zeros((0, 3), dtype=np.int64)
-    return np.unique(np.concatenate(cells, axis=0), axis=0)
-
-
-def build_sparse_conv_rulebook(
-    tensor: SparseTensor3D, kernel_size: int = 2, stride: int = 2
-) -> Tuple[Rulebook, np.ndarray]:
-    """Matching for a strided (non-submanifold) sparse convolution.
-
-    Returns the rulebook and the output coordinates.  Offsets are
-    corner-based (``[0, K)``): input ``p`` contributes to output ``q``
-    under offset ``d`` when ``p == q * stride + d``.
-    """
-    if stride <= 0:
-        raise ValueError(f"stride must be positive, got {stride}")
-    coords = tensor.coords
-    out_coords = downsampled_coords(coords, kernel_size, stride)
-    out_keys = (
-        pack_coords(out_coords) if len(out_coords) else np.zeros(0, dtype=np.int64)
-    )
+    if cells:
+        out_coords = np.unique(np.concatenate(cells, axis=0), axis=0)
+    else:
+        out_coords = np.zeros((0, 3), dtype=np.int64)
+    out_keys = pack_coords(out_coords)
     offsets = kernel_offsets(kernel_size, center=False)
     rules: List[np.ndarray] = []
     in_rows_all = np.arange(len(coords), dtype=np.int64)
@@ -289,8 +480,7 @@ def build_sparse_conv_rulebook(
     for offset in offsets:  # repro-lint: disable=hot-path
         shifted = coords - offset[None, :]
         aligned = np.all(shifted % stride == 0, axis=1) & np.all(shifted >= 0, axis=1)
-        q = shifted[aligned] // stride
-        rows = _lookup_rows(out_keys, pack_coords(q)) if len(q) else np.zeros(0, np.int64)
+        rows = lookup_rows(out_keys, pack_coords(shifted[aligned] // stride))
         valid = rows >= 0
         rules.append(
             np.stack(

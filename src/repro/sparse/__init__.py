@@ -8,7 +8,7 @@ package.
 """
 
 from repro.sparse.coo import SparseTensor3D
-from repro.sparse.hashmap import CoordinateHashMap, pack_coords, unpack_coords
+from repro.sparse.hashmap import pack_coords, unpack_coords
 from repro.sparse.dense import dense_to_sparse, sparse_to_dense
 from repro.sparse.ops import (
     add_sparse,
@@ -20,7 +20,6 @@ from repro.sparse.ops import (
 
 __all__ = [
     "SparseTensor3D",
-    "CoordinateHashMap",
     "pack_coords",
     "unpack_coords",
     "sparse_to_dense",

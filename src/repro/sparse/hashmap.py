@@ -1,25 +1,22 @@
-"""Open-addressing hash map over packed 3D integer coordinates.
-
-The matching operation of a submanifold convolution must answer "is there
-a nonzero activation at coordinate ``p + offset``" for every nonzero
-``p`` and every kernel offset.  The reference implementation answers these
-queries with this hash map, which is also the software analogue of the
-coordinate lookup hardware in accelerators such as PointAcc.
+"""Packed 3D integer coordinate keys.
 
 Coordinates are packed into a single non-negative ``int64`` key with 21
 bits per axis, supporting grids up to ``2**21`` per side — far beyond the
-``192^3`` feature maps used in the paper.
+``192^3`` feature maps used in the paper.  Packing preserves the
+lexicographic order of coordinate rows, so the canonical coordinate array
+of a :class:`repro.sparse.coo.SparseTensor3D` packs to ascending keys,
+and it is linear on non-negative fields.  The matching operation
+(:mod:`repro.nn.rulebook`) answers "is ``p + offset`` active" for every
+site and offset with one sorted probe over these keys, the software
+analogue of the paper's sorted, encoded coordinate stream.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional
 
 import numpy as np
 
 _AXIS_BITS = 21
 _AXIS_MASK = (1 << _AXIS_BITS) - 1
-_EMPTY = np.int64(-1)
 
 
 def pack_coords(coords: np.ndarray) -> np.ndarray:
@@ -45,98 +42,3 @@ def unpack_coords(keys: np.ndarray) -> np.ndarray:
     y = (keys >> _AXIS_BITS) & _AXIS_MASK
     z = keys & _AXIS_MASK
     return np.stack([x, y, z], axis=1)
-
-
-class CoordinateHashMap:
-    """Open-addressing (linear probing) map from packed coordinates to row ids.
-
-    The table stores ``int64`` keys and ``int64`` values in flat NumPy
-    arrays.  Load factor is kept below 0.7 by construction.
-    """
-
-    def __init__(self, expected_size: int = 64) -> None:
-        capacity = 16
-        while capacity < max(16, int(expected_size / 0.5) + 1):
-            capacity *= 2
-        self._keys = np.full(capacity, _EMPTY, dtype=np.int64)
-        self._values = np.full(capacity, _EMPTY, dtype=np.int64)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def capacity(self) -> int:
-        return int(self._keys.shape[0])
-
-    def _slot(self, key: int) -> int:
-        # Fibonacci hashing spreads consecutive packed keys well; Python
-        # ints are used so the 64-bit wraparound is explicit.
-        h = (int(key) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        return h & (self.capacity - 1)
-
-    def _grow(self) -> None:
-        old_keys = self._keys
-        old_values = self._values
-        new_capacity = self.capacity * 2
-        self._keys = np.full(new_capacity, _EMPTY, dtype=np.int64)
-        self._values = np.full(new_capacity, _EMPTY, dtype=np.int64)
-        self._size = 0
-        occupied = old_keys != _EMPTY
-        for key, value in zip(old_keys[occupied], old_values[occupied]):
-            self.insert(int(key), int(value))
-
-    def insert(self, key: int, value: int) -> None:
-        """Insert or overwrite the value stored for ``key``."""
-        if key < 0:
-            raise ValueError("keys must be non-negative (packed coordinates)")
-        if (self._size + 1) / self.capacity > 0.7:
-            self._grow()
-        mask = self.capacity - 1
-        slot = self._slot(key)
-        while True:
-            existing = self._keys[slot]
-            if existing == _EMPTY:
-                self._keys[slot] = key
-                self._values[slot] = value
-                self._size += 1
-                return
-            if existing == key:
-                self._values[slot] = value
-                return
-            slot = (slot + 1) & mask
-
-    def lookup(self, key: int) -> Optional[int]:
-        """Return the value stored for ``key`` or ``None``."""
-        mask = self.capacity - 1
-        slot = self._slot(key)
-        while True:
-            existing = self._keys[slot]
-            if existing == _EMPTY:
-                return None
-            if existing == key:
-                return int(self._values[slot])
-            slot = (slot + 1) & mask
-
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key) is not None
-
-    @classmethod
-    def from_coords(cls, coords: np.ndarray) -> "CoordinateHashMap":
-        """Build a map from each row of ``coords`` to its row index."""
-        coords = np.asarray(coords)
-        table = cls(expected_size=len(coords))
-        keys = pack_coords(coords)
-        for row, key in enumerate(keys.tolist()):
-            table.insert(key, row)
-        return table
-
-    def lookup_many(self, keys: Iterable[int]) -> np.ndarray:
-        """Vector lookup; missing keys map to ``-1``."""
-        keys = list(keys)
-        out = np.full(len(keys), -1, dtype=np.int64)
-        for i, key in enumerate(keys):
-            value = self.lookup(int(key))
-            if value is not None:
-                out[i] = value
-        return out

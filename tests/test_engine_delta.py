@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.config import AcceleratorConfig
 from repro.engine import (
@@ -20,11 +22,12 @@ from repro.nn import (
     UNetConfig,
     build_sparse_conv_rulebook,
     build_submanifold_rulebook,
+    build_submanifold_rulebook_reference,
 )
 from repro.runtime import DriftingSceneSource, StreamingRunner
 from repro.sparse.coo import SparseTensor3D
 from repro.sparse.hashmap import pack_coords
-from tests.conftest import random_sparse_tensor
+from tests.conftest import random_sparse_tensor, site_sets
 
 SMALL_CFG = UNetConfig(in_channels=2, num_classes=5, base_channels=4, levels=3)
 
@@ -327,6 +330,98 @@ def test_patched_rulebook_carries_splice_provenance():
         else:
             survivors = 0
         assert survivors + len(slots) == len(patched.rules[k])
+
+
+@st.composite
+def site_set_pairs(draw):
+    """An old site set and a churned new one on the same small grid."""
+    old = draw(site_sets())
+    keep = np.array(
+        draw(st.lists(st.booleans(), min_size=old.nnz, max_size=old.nnz)),
+        dtype=bool,
+    )
+    volume = int(np.prod(old.shape))
+    occupied = set(pack_coords(old.coords).tolist())
+    grid = np.stack(
+        np.unravel_index(np.arange(volume, dtype=np.int64), old.shape), axis=1
+    )
+    free = grid[[key not in occupied for key in pack_coords(grid).tolist()]]
+    picks = draw(
+        st.lists(
+            st.integers(0, max(len(free) - 1, 0)),
+            unique=True,
+            max_size=min(len(free), 20),
+        )
+    )
+    coords = np.concatenate([old.coords[keep], free[picks].reshape(-1, 3)])
+    new = SparseTensor3D(coords, np.ones((len(coords), 1)), old.shape)
+    return old, new
+
+
+def expected_fresh_slots(scratch, added_flags, strided):
+    """Per offset, the positions of the pairs that touch an added site."""
+    slots = []
+    for rule in scratch.rules:
+        fresh = added_flags[rule[:, 0]]
+        if not strided:
+            fresh = fresh | added_flags[rule[:, 1]]
+        slots.append(np.flatnonzero(fresh))
+    return slots
+
+
+def assert_patch_matches_cold(patched, scratch, delta, strided):
+    assert_rulebooks_identical(patched, scratch)
+    assert_plans_identical(patched._plan, scratch.plan())
+    added_flags = np.zeros(delta.new_size, dtype=bool)
+    added_flags[delta.added_new_rows] = True
+    want = expected_fresh_slots(scratch, added_flags, strided)
+    got = patched._splice.fresh_slots
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        assert mine.dtype == np.int64
+        assert np.array_equal(mine, theirs)
+
+
+@given(site_set_pairs(), st.sampled_from([1, 3, 5]))
+@settings(max_examples=80)
+def test_property_one_pass_submanifold_patch_matches_cold(pair, kernel_size):
+    old, new = pair
+    delta = coordinate_delta(old.coords, new.coords)
+    patched = patch_submanifold_rulebook(
+        build_submanifold_rulebook(old, kernel_size), delta, new.shape
+    )
+    scratch = build_submanifold_rulebook(new, kernel_size)
+    assert_patch_matches_cold(patched, scratch, delta, strided=False)
+
+
+@given(site_set_pairs(), st.sampled_from([(2, 2), (3, 1), (3, 2), (2, 1), (3, 3)]))
+@settings(max_examples=80)
+def test_property_one_pass_strided_patch_matches_cold(pair, geometry):
+    old, new = pair
+    kernel_size, stride = geometry
+    delta = coordinate_delta(old.coords, new.coords)
+    old_rulebook, old_out = build_sparse_conv_rulebook(old, kernel_size, stride)
+    patched, out = patch_sparse_conv_rulebook(
+        old_rulebook, old_out, delta, stride, new_coords=new.coords
+    )
+    scratch, scratch_out = build_sparse_conv_rulebook(new, kernel_size, stride)
+    assert np.array_equal(out, scratch_out)
+    assert_patch_matches_cold(patched, scratch, delta, strided=True)
+
+
+def test_submanifold_patch_rejects_grid_beyond_key_limit():
+    depth = 1 << 21
+    old = SparseTensor3D(np.array([[1, 1, 0]]), np.ones((1, 1)), (4, 4, depth))
+    new = SparseTensor3D(
+        np.array([[1, 1, 0], [1, 0, depth - 1]]), np.ones((2, 1)), old.shape
+    )
+    # The per-offset reference has no key limit, so it can stand in for
+    # a K = 3 rulebook cached on this grid.
+    old_rulebook = build_submanifold_rulebook_reference(old, 3)
+    with pytest.raises(ValueError):
+        patch_submanifold_rulebook(
+            old_rulebook, coordinate_delta(old.coords, new.coords), new.shape
+        )
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.synthetic import make_shapenet_like_cloud
+from repro.geometry.voxelizer import Voxelizer
 from repro.nn import (
+    Rulebook,
     build_sparse_conv_rulebook,
+    build_sparse_conv_rulebook_reference,
     build_submanifold_rulebook,
+    build_submanifold_rulebook_reference,
     kernel_offsets,
 )
-from repro.sparse import SparseTensor3D
-from tests.conftest import random_sparse_tensor
+from repro.nn.rulebook import lookup_rows
+from repro.sparse import SparseTensor3D, pack_coords
+from tests.conftest import random_sparse_tensor, site_sets
+
+SUBMANIFOLD_KERNELS = [1, 3, 5]
+STRIDED_GEOMETRIES = [(2, 2), (3, 1), (3, 2), (2, 1), (3, 3)]
 
 
 def brute_force_submanifold_pairs(tensor, kernel_size):
@@ -159,3 +168,174 @@ def test_property_rulebook_symmetry(seed):
         )[0][0])
         mirrored = {(o, i) for (i, o) in pair_sets[k]}
         assert mirrored == pair_sets[mirror_k]
+
+
+# ----------------------------------------------------------------------
+# One-pass builders against the per-offset references
+# ----------------------------------------------------------------------
+def assert_plans_identical(got, want):
+    assert got.total_matches == want.total_matches
+    assert got.active_offsets == want.active_offsets
+    for mine, theirs in [(got.in_rows, want.in_rows), (got.segment_starts, want.segment_starts)]:
+        assert mine.dtype == theirs.dtype == np.int64
+        assert np.array_equal(mine, theirs)
+    assert len(got.out_rows) == len(want.out_rows)
+    for mine, theirs in zip(got.out_rows, want.out_rows):
+        assert mine.dtype == theirs.dtype == np.int64
+        assert np.array_equal(mine, theirs)
+
+
+def assert_matches_reference(got, want):
+    """Rule for rule equal, and the pre-seeded plan equals lazy plans."""
+    assert got.kernel_size == want.kernel_size
+    assert (got.num_inputs, got.num_outputs) == (want.num_inputs, want.num_outputs)
+    assert np.array_equal(got.offsets, want.offsets)
+    assert len(got.rules) == len(want.rules)
+    for mine, theirs in zip(got.rules, want.rules):
+        assert mine.dtype == theirs.dtype == np.int64
+        assert mine.shape == theirs.shape
+        assert np.array_equal(mine, theirs)
+    assert got._plan is not None  # pre-seeded by the builder
+    lazy = Rulebook(
+        kernel_size=got.kernel_size,
+        offsets=got.offsets,
+        rules=list(got.rules),
+        num_inputs=got.num_inputs,
+        num_outputs=got.num_outputs,
+    )
+    assert_plans_identical(got.plan(), lazy.plan())
+    assert_plans_identical(got.plan(), want.plan())
+
+
+@given(site_sets(), st.sampled_from(SUBMANIFOLD_KERNELS))
+@settings(max_examples=120)
+def test_property_submanifold_matches_reference(tensor, kernel_size):
+    assert_matches_reference(
+        build_submanifold_rulebook(tensor, kernel_size),
+        build_submanifold_rulebook_reference(tensor, kernel_size),
+    )
+
+
+@given(site_sets(), st.sampled_from(STRIDED_GEOMETRIES))
+@settings(max_examples=120)
+def test_property_strided_matches_reference(tensor, geometry):
+    kernel_size, stride = geometry
+    got, got_out = build_sparse_conv_rulebook(tensor, kernel_size, stride)
+    want, want_out = build_sparse_conv_rulebook_reference(
+        tensor, kernel_size, stride
+    )
+    assert got_out.dtype == want_out.dtype == np.int64
+    assert got_out.shape == want_out.shape
+    assert np.array_equal(got_out, want_out)
+    assert_matches_reference(got, want)
+    assert_matches_reference(got.transposed(), want.transposed())
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (4, 1, 7), (9, 9, 9)])
+def test_builders_match_reference_on_empty_sets(shape):
+    tensor = SparseTensor3D.empty(shape)
+    for kernel_size in SUBMANIFOLD_KERNELS:
+        assert_matches_reference(
+            build_submanifold_rulebook(tensor, kernel_size),
+            build_submanifold_rulebook_reference(tensor, kernel_size),
+        )
+    for kernel_size, stride in STRIDED_GEOMETRIES:
+        got, got_out = build_sparse_conv_rulebook(tensor, kernel_size, stride)
+        want, want_out = build_sparse_conv_rulebook_reference(
+            tensor, kernel_size, stride
+        )
+        assert got_out.shape == want_out.shape == (0, 3)
+        assert_matches_reference(got, want)
+
+
+def test_builders_match_reference_on_default_chair():
+    """The default 192^3 ShapeNet-like chair, every builder geometry."""
+    cloud = make_shapenet_like_cloud(seed=0, n_points=60000)
+    tensor = Voxelizer(
+        resolution=192, normalize=False, occupancy_only=True
+    ).voxelize(cloud)
+    for kernel_size in SUBMANIFOLD_KERNELS:
+        assert_matches_reference(
+            build_submanifold_rulebook(tensor, kernel_size),
+            build_submanifold_rulebook_reference(tensor, kernel_size),
+        )
+    for kernel_size, stride in STRIDED_GEOMETRIES:
+        got, got_out = build_sparse_conv_rulebook(tensor, kernel_size, stride)
+        want, want_out = build_sparse_conv_rulebook_reference(
+            tensor, kernel_size, stride
+        )
+        assert np.array_equal(got_out, want_out)
+        assert_matches_reference(got, want)
+
+
+def test_submanifold_grid_at_key_limit_matches_reference():
+    """Padded by K//2 per side the grid just fits a 21-bit key field."""
+    depth = (1 << 21) - 2
+    coords = np.array(
+        [[0, 0, 0], [0, 0, 1], [3, 3, depth - 1], [3, 2, depth - 1], [1, 1, 0]]
+    )
+    tensor = SparseTensor3D(coords, np.ones((5, 1)), (4, 4, depth))
+    assert_matches_reference(
+        build_submanifold_rulebook(tensor, 3),
+        build_submanifold_rulebook_reference(tensor, 3),
+    )
+
+
+def test_submanifold_grid_beyond_key_limit_raises():
+    """Past the limit a neighbour key could alias a site on the far face.
+
+    On a grid ``2**21`` deep, ``(1, 1, 0) + (0, 0, -1)`` would pack to
+    the key of ``(1, 0, 2**21 - 1)`` — a wrong rule, not an error, were
+    the padded extent not checked.
+    """
+    depth = 1 << 21
+    coords = np.array([[1, 1, 0], [1, 0, depth - 1]])
+    tensor = SparseTensor3D(coords, np.ones((2, 1)), (4, 4, depth))
+    with pytest.raises(ValueError):
+        build_submanifold_rulebook(tensor, 3)
+    assert_matches_reference(  # K = 1 needs no padding
+        build_submanifold_rulebook(tensor, 1),
+        build_submanifold_rulebook_reference(tensor, 1),
+    )
+
+
+# ----------------------------------------------------------------------
+# lookup_rows: the sorted probe that maps coordinates to rows
+# ----------------------------------------------------------------------
+def test_lookup_rows_mixed_hits():
+    keys = pack_coords(np.array([[0, 0, 0], [1, 1, 1]]))
+    rows = lookup_rows(keys, pack_coords(np.array([[1, 1, 1], [9, 9, 9]])))
+    assert rows.tolist() == [1, -1]
+    assert lookup_rows(keys[:0], keys).tolist() == [-1, -1]
+
+
+def test_lookup_rows_maps_rows():
+    tensor = SparseTensor3D(
+        np.array([[7, 8, 9], [1, 2, 3], [4, 5, 6]]), np.ones((3, 1)), (10, 10, 10)
+    )
+    keys = pack_coords(tensor.coords)
+    assert lookup_rows(keys, keys).tolist() == [0, 1, 2]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 300), st.integers(0, 300), st.integers(0, 300)
+        ),
+        min_size=0,
+        max_size=80,
+        unique=True,
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_property_lookup_rows_agrees_with_dict(coord_list):
+    """The sorted probe must behave exactly like a Python dict."""
+    coords = np.array(coord_list, dtype=np.int64).reshape(-1, 3)
+    keys = np.sort(pack_coords(coords))
+    reference = {key: row for row, key in enumerate(keys.tolist())}
+    assert lookup_rows(keys, keys).tolist() == list(reference.values())
+    missing = np.array(
+        [key for key in (0, 1, 999_999_999) if key not in reference],
+        dtype=np.int64,
+    )
+    assert (lookup_rows(keys, missing) == -1).all()

@@ -1,11 +1,11 @@
-"""Unit and property-based tests for the coordinate hash map."""
+"""Unit and property-based tests for packed coordinate keys."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import CoordinateHashMap, pack_coords, unpack_coords
+from repro.sparse import pack_coords, unpack_coords
 
 
 def test_pack_unpack_round_trip():
@@ -26,83 +26,6 @@ def test_pack_preserves_lexicographic_order():
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     keys = pack_coords(coords[order])
     assert np.all(np.diff(keys) >= 0)
-
-
-def test_insert_lookup():
-    table = CoordinateHashMap()
-    table.insert(42, 7)
-    assert table.lookup(42) == 7
-    assert table.lookup(43) is None
-    assert 42 in table
-    assert 43 not in table
-
-
-def test_overwrite_keeps_size():
-    table = CoordinateHashMap()
-    table.insert(5, 1)
-    table.insert(5, 2)
-    assert len(table) == 1
-    assert table.lookup(5) == 2
-
-
-def test_growth_preserves_entries():
-    table = CoordinateHashMap(expected_size=4)
-    for i in range(200):
-        table.insert(i * 97, i)
-    assert len(table) == 200
-    for i in range(200):
-        assert table.lookup(i * 97) == i
-
-
-def test_negative_key_rejected():
-    table = CoordinateHashMap()
-    with pytest.raises(ValueError):
-        table.insert(-1, 0)
-
-
-def test_from_coords_maps_rows():
-    coords = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    table = CoordinateHashMap.from_coords(coords)
-    keys = pack_coords(coords)
-    for row, key in enumerate(keys.tolist()):
-        assert table.lookup(key) == row
-
-
-def test_lookup_many_mixed_hits():
-    coords = np.array([[0, 0, 0], [1, 1, 1]])
-    table = CoordinateHashMap.from_coords(coords)
-    keys = pack_coords(np.array([[1, 1, 1], [9, 9, 9]]))
-    result = table.lookup_many(keys.tolist())
-    assert result[0] == 1
-    assert result[1] == -1
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 300), st.integers(0, 300), st.integers(0, 300)
-        ),
-        min_size=0,
-        max_size=80,
-        unique=True,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_property_map_agrees_with_dict(coord_list):
-    """The hash map must behave exactly like a Python dict."""
-    coords = np.array(coord_list, dtype=np.int64).reshape(-1, 3)
-    table = CoordinateHashMap.from_coords(coords) if len(coords) else CoordinateHashMap()
-    if len(coords):
-        keys = pack_coords(coords).tolist()
-    else:
-        keys = []
-    reference = {key: row for row, key in enumerate(keys)}
-    for key, row in reference.items():
-        assert table.lookup(key) == row
-    # Probe some keys that are absent.
-    for missing in (0, 1, 999_999_999):
-        if missing not in reference:
-            assert table.lookup(missing) is None
 
 
 @given(
