@@ -35,16 +35,16 @@ from benchmarks.test_bench_delta import KERNEL, RESOLUTION, drifting_tensors
 
 
 def patched_chain(tensors):
-    """Consecutive (old rulebook, patched rulebook) pairs of the drift."""
+    """Consecutive (old rulebook, patched rulebook, delta) of the drift."""
     previous = tensors[0]
     previous_rulebook = build_submanifold_rulebook(previous, KERNEL)
     pairs = []
     for tensor in tensors[1:]:
         delta = coordinate_delta(previous.coords, tensor.coords)
         patched = patch_submanifold_rulebook(
-            previous_rulebook, delta, tensor.shape, new_coords=tensor.coords
+            previous_rulebook, delta, tensor.shape
         )
-        pairs.append((previous_rulebook, patched))
+        pairs.append((previous_rulebook, patched, delta))
         previous, previous_rulebook = tensor, patched
     return pairs
 
@@ -59,7 +59,7 @@ def lowering_seconds(pairs, reps=5):
     """
     backend = ScipySparseBackend()
     events = [
-        (rb._plan, rb.num_inputs, rb.num_outputs) for _, rb in pairs
+        (rb._plan, rb.num_inputs, rb.num_outputs) for _, rb, _ in pairs
     ]
     backend._splice_buffers(max(p.total_matches for p, _, _ in events))
     best_canonical = best_coo = float("inf")
@@ -98,7 +98,7 @@ def refresh_seconds(tensors, reps=5):
         # Steady-state: the splice scratch amortizes across the stream.
         spliced_backend._splice_buffers(eager_pairs[0][0].total_matches * 2)
         eager = spliced = 0.0
-        for (_, eager_new), (spliced_old, spliced_new) in zip(
+        for (_, eager_new, _), (spliced_old, spliced_new, delta) in zip(
             eager_pairs, spliced_pairs
         ):
             start = time.perf_counter()
@@ -106,9 +106,7 @@ def refresh_seconds(tensors, reps=5):
             eager_backend.plan_for(eager_new)
             eager += time.perf_counter() - start
             start = time.perf_counter()
-            spliced_backend.refresh(
-                spliced_old, spliced_new, spliced_new._splice
-            )
+            spliced_backend.refresh(spliced_old, spliced_new, delta)
             spliced += time.perf_counter() - start
         assert spliced_backend.plans_spliced == len(spliced_pairs)
         best_eager = min(best_eager, eager)
@@ -131,8 +129,8 @@ def test_bench_refresh_splice_vs_relower(write_report):
     backend = ScipySparseBackend()
     pairs = patched_chain(tensors)
     backend.plan_for(pairs[0][0])
-    for old_rulebook, patched in pairs:
-        backend.refresh(old_rulebook, patched, patched._splice)
+    for old_rulebook, patched, delta in pairs:
+        backend.refresh(old_rulebook, patched, delta)
         spliced = backend.plan_for(patched)
         cold = ScipySparseBackend().prepare(patched)
         for name in ("gather", "scatter"):

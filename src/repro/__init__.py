@@ -75,7 +75,6 @@ from repro.engine import (
     available_backends,
     coordinate_delta,
     get_backend,
-    patch_rulebook,
     register_backend,
 )
 
@@ -108,5 +107,4 @@ __all__ = [
     "available_backends",
     "DeltaRulebookCache",
     "coordinate_delta",
-    "patch_rulebook",
 ]

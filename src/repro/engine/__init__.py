@@ -18,11 +18,11 @@ warm worker sessions is the TCP cluster tier's job
 (:mod:`repro.runtime.cluster`, backend ``remote``).
 
 For nearly-static streams, :mod:`repro.engine.delta` upgrades the
-digest-keyed caches to incremental patching: a digest miss whose
-coordinate set is within a churn threshold of a recent entry splices
-the cached rulebook (bit-identically to from-scratch matching) instead
-of rebuilding it, making warm-stream matching cost proportional to the
-per-frame churn rather than the scene size.
+digest-keyed submanifold cache to incremental patching: a digest miss
+whose coordinate set is within a churn threshold of a recent entry
+splices the cached rulebook (bit-identically to from-scratch matching)
+instead of rebuilding it, making warm-stream matching cost proportional
+to the per-frame churn rather than the scene size.
 
 :mod:`repro.engine.mapping` adds the mapping-ops subsystem for the
 point-based network family: vectorized sorting-based kNN, ball query,
@@ -51,10 +51,7 @@ from repro.engine.delta import (
     CoordinateDelta,
     DeltaCacheStats,
     DeltaRulebookCache,
-    RulebookDelta,
     coordinate_delta,
-    patch_rulebook,
-    patch_sparse_conv_rulebook,
     patch_submanifold_rulebook,
 )
 from repro.engine.mapping import (
@@ -109,11 +106,8 @@ __all__ = [
     "get_backend",
     "available_backends",
     "CoordinateDelta",
-    "RulebookDelta",
     "coordinate_delta",
-    "patch_rulebook",
     "patch_submanifold_rulebook",
-    "patch_sparse_conv_rulebook",
     "DeltaRulebookCache",
     "DeltaCacheStats",
     "DEFAULT_DELTA_THRESHOLD",

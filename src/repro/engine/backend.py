@@ -198,12 +198,9 @@ class ExecutionBackend:
         rulebook, so the warm path never pays a cold :meth:`prepare` on
         its next execute; the superseded plan stays in the LRU memo
         (its digest may still recur in an alternating stream) and ages
-        out normally.  Backends whose plans are expensive to derive
-        (CSR operators, device buffers) can override this to splice
-        ``delta`` into the old plan instead of lowering the patched
-        rulebook from scratch — :class:`ScipySparseBackend` does, using
-        the :class:`repro.engine.delta.RulebookDelta` provenance the
-        patchers attach, and counts such refreshes in
+        out normally.  Backends can override this to carry warm state of
+        the old plan over — :class:`ScipySparseBackend` keeps the old
+        plan's per-dtype operator casts, and counts such refreshes in
         :attr:`plans_spliced` (always a subset of
         :attr:`plans_refreshed`).
         """
@@ -459,8 +456,9 @@ class ScipySparseBackend(ExecutionBackend):
         assembles directly from the offset-major ``in_rows``; the
         scatter assembles through its trivial CSC form — one unit entry
         per column, at the match's output row, columns ascending in
-        offset-major order — converted to sorted CSR in one C pass,
-        skipping the COO round-trip and the per-row index sort.
+        offset-major order — converted to sorted CSR by scipy's
+        ``tocsr``, skipping the COO round-trip and the per-row index
+        sort.
 
         Returns ``None`` when the int32 index scratch cannot address
         ``total`` matches — callers fall back to
@@ -481,30 +479,9 @@ class ScipySparseBackend(ExecutionBackend):
             (ones, in_rows32, unit_indptr),
             shape=(total, max(num_inputs, 1)),
         )
-        rows = max(num_outputs, 1)
-        csc_tocsr = getattr(
-            getattr(self._sparse, "_sparsetools", None), "csc_tocsr", None
-        )
-        if csc_tocsr is not None:
-            scatter_indptr = np.empty(rows + 1, dtype=np.int32)
-            scatter_indices = np.empty(total, dtype=np.int32)
-            # Every entry is a unit, so the permuted data output equals
-            # the data input — the shared ones buffer safely serves as
-            # both (the kernel only ever writes 1.0 over 1.0).
-            csc_tocsr(
-                rows, total, unit_indptr, rows32, ones,
-                scatter_indptr, scatter_indices, ones,
-            )
-            scatter = self._sparse.csr_matrix(
-                (ones, scatter_indices, scatter_indptr),
-                shape=(rows, total),
-            )
-        else:
-            # scipy >= 1.14 dropped the standalone kernel; the public
-            # conversion emits the same sorted CSR arrays.
-            scatter = self._sparse.csc_matrix(
-                (ones, rows32, unit_indptr), shape=(rows, total)
-            ).tocsr()
+        scatter = self._sparse.csc_matrix(
+            (ones, rows32, unit_indptr), shape=(max(num_outputs, 1), total)
+        ).tocsr()
         try:
             scatter.has_sorted_indices = True  # emitted sorted per row
         except (AttributeError, TypeError):  # pragma: no cover
@@ -530,33 +507,24 @@ class ScipySparseBackend(ExecutionBackend):
         return gather, scatter
 
     def refresh(self, old_rulebook, new_rulebook, delta) -> None:
-        """Splice ``delta`` into the cached CSR plan instead of re-lowering.
+        """Lower the new plan and carry the old plan's warm casts over.
 
-        When the delta engine patched ``old_rulebook`` into
-        ``new_rulebook`` and this backend holds a warm
-        :class:`CsrExecPlan` for the old rulebook, the new plan is
-        derived from the patch's splice provenance instead of re-lowered
-        from scratch: the patcher already dropped/remapped the surviving
-        gather rows and scatter columns through the delta's monotone row
-        maps and merged in the locally re-matched pairs, handing over
-        the spliced flat arrays as a pre-seeded
-        :class:`~repro.nn.rulebook.GatherScatterPlan`.  From those the
-        CSR operators assemble canonically — the gather directly, the
-        scatter through its trivial CSC form (one unit entry per column,
-        columns already in offset-major order) converted to sorted CSR
-        in one C pass — skipping the strided rule re-extraction, the COO
-        round-trip, and the per-row index sort of an eager
-        :meth:`prepare`.  Per-dtype operator casts the old plan had
-        materialized are rebuilt over the shared index arrays.  The
-        result is bit-identical to a cold :meth:`prepare` of the patched
-        rulebook — asserted per precision in the test suite — at less
-        than half the re-lowering cost (``results/refresh_speedup.txt``).
-        Falls back to the eager base behaviour when there is nothing to
-        splice (degraded mode, no warm old plan, or a plain
-        :class:`CoordinateDelta` without splice provenance).
+        When this backend holds a warm :class:`CsrExecPlan` for
+        ``old_rulebook``, the plan of ``new_rulebook`` is lowered from
+        its pre-seeded :class:`~repro.nn.rulebook.GatherScatterPlan`
+        through :meth:`_lower_operators` — the lowering a cold
+        :meth:`prepare` uses — and every per-dtype operator cast the old
+        plan had materialized is rebuilt over the new index arrays, so
+        the serving loop does not re-materialize them on its next
+        execute.  The result is bit-identical to a cold :meth:`prepare`
+        of the new rulebook (asserted per precision in the test suite)
+        and costs about the same as eager re-lowering
+        (``results/refresh_speedup.txt``).  Falls back to the eager base
+        behaviour when there is nothing to carry over (degraded mode, no
+        warm old plan, no pre-seeded plan, or an empty rulebook).
         """
         spliced = None if self.degraded else self._try_splice(
-            old_rulebook, new_rulebook, delta
+            old_rulebook, new_rulebook
         )
         if spliced is None:
             super().refresh(old_rulebook, new_rulebook, delta)
@@ -565,13 +533,11 @@ class ScipySparseBackend(ExecutionBackend):
         self.plans_refreshed += 1
         self.plans_spliced += 1
 
-    def _try_splice(self, old_rulebook, new_rulebook, delta):
+    def _try_splice(self, old_rulebook, new_rulebook):
         """The spliced :class:`CsrExecPlan`, or ``None`` to re-lower."""
-        if getattr(delta, "fresh_slots", None) is None:
-            return None  # plain CoordinateDelta: no splice provenance
         plan_gs = new_rulebook._plan
         if plan_gs is None:
-            return None  # no spliced plan arrays to lower from
+            return None  # no pre-seeded plan arrays to lower from
         cached = self._plans.get(id(old_rulebook))
         if cached is None or cached[0] is not old_rulebook:
             return None  # old plan not warm: nothing to refresh

@@ -99,12 +99,6 @@ class Rulebook:
     )
     #: The ``(2, M)`` pair array behind :meth:`flat_pairs`.
     _pairs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    #: Patch provenance (a :class:`repro.engine.delta.RulebookDelta`) set
-    #: by the delta engine's patchers: which pairs were freshly matched
-    #: and how old rows map onto new ones.  Backends use it to splice
-    #: prepared execution plans instead of re-lowering; ``None`` on
-    #: from-scratch rulebooks.
-    _splice: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def total_matches(self) -> int:

@@ -555,10 +555,8 @@ def _patched_pair(seed=80, nnz=150, remove=6, add=6, kernel=3):
     new = churned(old, remove=remove, add=add, seed=seed + 1)
     delta = coordinate_delta(old.coords, new.coords)
     old_rulebook = build_submanifold_rulebook(old, kernel)
-    patched = patch_submanifold_rulebook(
-        old_rulebook, delta, new.shape, new_coords=new.coords
-    )
-    return old, new, old_rulebook, patched
+    patched = patch_submanifold_rulebook(old_rulebook, delta, new.shape)
+    return delta, old_rulebook, patched
 
 
 def _assert_csr_plans_identical(got, want):
@@ -583,11 +581,11 @@ def test_scipy_refresh_splices_bit_identical_to_cold_prepare():
     backend = ScipySparseBackend()
     if backend.degraded:
         pytest.skip("scipy not installed")
-    _, _, old_rulebook, patched = _patched_pair()
+    delta, old_rulebook, patched = _patched_pair()
     old_plan = backend.plan_for(old_rulebook)
     old_plan.operators(np.float32)
     old_plan.operators(np.int64)
-    backend.refresh(old_rulebook, patched, patched._splice)
+    backend.refresh(old_rulebook, patched, delta)
     assert backend.plans_refreshed == 1
     assert backend.plans_spliced == 1
     spliced = backend.plan_for(patched)  # memo hit: the spliced plan
@@ -607,10 +605,11 @@ def test_scipy_refresh_splices_bit_identical_to_cold_prepare():
 @pytest.mark.parametrize("kernel_size,stride", [(2, 2), (3, 2), (4, 2), (3, 1)])
 @pytest.mark.parametrize("seed", range(3))
 def test_scipy_refresh_splices_strided_geometries(kernel_size, stride, seed):
-    """Spliced CSR plans for every strided geometry — including the
-    overlapping kernel != stride class — equal cold lowering bit for bit,
-    and execute identically for float64/float32/int, cold and warm."""
-    from repro.engine import coordinate_delta, patch_sparse_conv_rulebook
+    """Spliced CSR plans between cold-built strided rulebooks of every
+    geometry — including the overlapping kernel != stride class — equal
+    cold lowering bit for bit, and execute identically for
+    float64/float32/int, cold and warm."""
+    from repro.engine import coordinate_delta
     from tests.test_engine_delta import churned
 
     backend = ScipySparseBackend()
@@ -625,14 +624,10 @@ def test_scipy_refresh_splices_strided_geometries(kernel_size, stride, seed):
         seed=seed + 95,
     )
     delta = coordinate_delta(old.coords, new.coords)
-    old_rulebook, old_out = build_sparse_conv_rulebook(
-        old, kernel_size, stride
-    )
-    patched, out_coords = patch_sparse_conv_rulebook(
-        old_rulebook, old_out, delta, stride, new_coords=new.coords
-    )
+    old_rulebook, _ = build_sparse_conv_rulebook(old, kernel_size, stride)
+    patched, out_coords = build_sparse_conv_rulebook(new, kernel_size, stride)
     backend.plan_for(old_rulebook)
-    backend.refresh(old_rulebook, patched, patched._splice)
+    backend.refresh(old_rulebook, patched, delta)
     assert backend.plans_spliced == 1
     spliced = backend.plan_for(patched)
     cold_backend = ScipySparseBackend()
@@ -663,32 +658,23 @@ def test_scipy_refresh_splices_strided_geometries(kernel_size, stride, seed):
 
 
 def test_scipy_refresh_falls_back_to_eager_relowering():
-    from repro.engine import coordinate_delta
-
     backend = ScipySparseBackend()
     if backend.degraded:
         pytest.skip("scipy not installed")
-    old, new, old_rulebook, patched = _patched_pair(seed=85)
-    # (1) No warm plan for the old rulebook: nothing to splice from.
-    backend.refresh(old_rulebook, patched, patched._splice)
+    delta, old_rulebook, patched = _patched_pair(seed=85)
+    # No warm plan for the old rulebook: nothing to splice from.
+    backend.refresh(old_rulebook, patched, delta)
     assert backend.plans_refreshed == 1
     assert backend.plans_spliced == 0
     assert isinstance(backend.plan_for(patched), CsrExecPlan)
-    # (2) A plain CoordinateDelta without splice provenance.
-    backend2 = ScipySparseBackend()
-    backend2.plan_for(old_rulebook)
-    plain = coordinate_delta(old.coords, new.coords)
-    backend2.refresh(old_rulebook, patched, plain)
-    assert backend2.plans_refreshed == 1
-    assert backend2.plans_spliced == 0
 
 
 def test_scipy_refresh_degraded_falls_back(monkeypatch):
     monkeypatch.setattr(backend_mod, "_scipy_sparse", None)
     backend = ScipySparseBackend()
-    _, _, old_rulebook, patched = _patched_pair(seed=86)
+    delta, old_rulebook, patched = _patched_pair(seed=86)
     backend.plan_for(old_rulebook)
-    backend.refresh(old_rulebook, patched, patched._splice)
+    backend.refresh(old_rulebook, patched, delta)
     assert backend.plans_refreshed == 1
     assert backend.plans_spliced == 0
     assert isinstance(backend.plan_for(patched), FusedExecPlan)

@@ -2,8 +2,8 @@
 
 PR satellite: :meth:`ScipySparseBackend.prepare` now lowers its
 operators through the same ``_lower_operators`` routine the delta
-splice of :meth:`ScipySparseBackend.refresh` uses (CSC -> sorted CSR in
-one conversion pass), so a cold-prepared plan and a spliced plan for
+splice of :meth:`ScipySparseBackend.refresh` uses (CSC -> sorted CSR
+through scipy's ``tocsr``), so a cold-prepared plan and a spliced plan for
 the same rulebook are array-for-array identical — indptr, indices, and
 data, dtypes included — not merely numerically equivalent.
 """
@@ -25,7 +25,7 @@ def _scipy_backend():
 def test_cold_prepare_matches_coo_lowering():
     """The canonical lowering reproduces the COO fallback's operators."""
     backend = _scipy_backend()
-    _, new, _, patched = _patched_pair()
+    _, _, patched = _patched_pair()
     plan_gs = patched.plan()
     canonical = backend._lower_operators(
         plan_gs, patched.num_inputs, patched.num_outputs
@@ -49,35 +49,11 @@ def test_cold_prepared_and_spliced_plans_identical():
     """Satellite acceptance: cold prepare == delta splice, array for array."""
     warm = _scipy_backend()
     cold = ScipySparseBackend()
-    _, _, old_rulebook, patched = _patched_pair()
+    delta, old_rulebook, patched = _patched_pair()
     warm.plan_for(old_rulebook)  # warm the old plan so refresh can splice
-    warm.refresh(old_rulebook, patched, patched._splice)
+    warm.refresh(old_rulebook, patched, delta)
     assert warm.plans_spliced == 1
     spliced = warm.plan_for(patched)
     prepared = cold.prepare(patched)
     _assert_csr_plans_identical(spliced, prepared)
 
-
-def test_cold_prepare_survives_missing_c_kernel(monkeypatch):
-    """Without ``csc_tocsr`` the public-conversion fallback lowers the
-    same sorted arrays (scipy >= 1.14 dropped the standalone kernel)."""
-    backend = _scipy_backend()
-    _, _, _, patched = _patched_pair()
-    plan_gs = patched.plan()
-    reference = backend._lower_operators(
-        plan_gs, patched.num_inputs, patched.num_outputs
-    )
-    tools = getattr(backend._sparse, "_sparsetools", None)
-    if tools is not None and hasattr(tools, "csc_tocsr"):
-        monkeypatch.delattr(tools, "csc_tocsr")
-    via_public = backend._lower_operators(
-        plan_gs, patched.num_inputs, patched.num_outputs
-    )
-    for mine, theirs in zip(via_public, reference):
-        assert np.array_equal(
-            np.asarray(mine.indptr), np.asarray(theirs.indptr)
-        )
-        assert np.array_equal(
-            np.asarray(mine.indices), np.asarray(theirs.indices)
-        )
-        assert np.array_equal(mine.data, theirs.data)

@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.arch.config import AcceleratorConfig
 from repro.engine import (
@@ -13,14 +20,13 @@ from repro.engine import (
     InferenceSession,
     coordinate_delta,
     get_backend,
-    patch_rulebook,
-    patch_sparse_conv_rulebook,
     patch_submanifold_rulebook,
 )
 from repro.nn import (
     RulebookCache,
     UNetConfig,
     build_sparse_conv_rulebook,
+    build_sparse_conv_rulebook_reference,
     build_submanifold_rulebook,
     build_submanifold_rulebook_reference,
 )
@@ -69,6 +75,18 @@ def assert_rulebooks_identical(patched, scratch):
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+class RefreshSpy:
+    """A patch listener that records its notifications."""
+
+    def __init__(self):
+        self.calls = 0
+        self.last = None
+
+    def refresh(self, old, new, delta):
+        self.calls += 1
+        self.last = (old, new, delta)
 
 
 # ----------------------------------------------------------------------
@@ -121,9 +139,22 @@ def test_coordinate_delta_rejects_bad_shape():
         coordinate_delta(np.zeros((2, 2, 2)), np.zeros((0, 3)))
 
 
+def strided_near_match(old, new, kernel_size, stride):
+    """The strided lookup of ``new`` on a delta cache warm with ``old``.
+
+    The threshold admits any churn, so ``new`` is a near-match of the
+    cached ``old`` entry; strided misses are still built cold.
+    """
+    cache = DeltaRulebookCache(threshold=1.0)
+    cache.sparse_conv(old, kernel_size, stride)
+    rulebook, out_coords = cache.sparse_conv(new, kernel_size, stride)
+    assert cache.patches == 0
+    return rulebook, out_coords
+
+
 # ----------------------------------------------------------------------
-# Tentpole acceptance: patch_rulebook bit-identical to from-scratch
-# matching for every conv kind under randomized add/remove deltas
+# Patches bit-identical to from-scratch matching under randomized
+# add/remove deltas; strided near-matches are built cold
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kernel_size", [1, 3])
 @pytest.mark.parametrize("seed", range(8))
@@ -140,9 +171,7 @@ def test_patch_submanifold_bit_identical_random_deltas(kernel_size, seed):
     )
     delta = coordinate_delta(old.coords, new.coords)
     old_rulebook = build_submanifold_rulebook(old, kernel_size)
-    patched = patch_submanifold_rulebook(
-        old_rulebook, delta, new.shape, new_coords=new.coords
-    )
+    patched = patch_submanifold_rulebook(old_rulebook, delta, new.shape)
     assert_rulebooks_identical(
         patched, build_submanifold_rulebook(new, kernel_size)
     )
@@ -161,17 +190,13 @@ def test_patch_strided_and_transposed_bit_identical(stride, seed):
         add=int(rng.integers(0, 20)),
         seed=seed + 200,
     )
-    delta = coordinate_delta(old.coords, new.coords)
-    old_rulebook, old_out = build_sparse_conv_rulebook(old, stride, stride)
-    patched, out_coords = patch_sparse_conv_rulebook(
-        old_rulebook, old_out, delta, stride, new_coords=new.coords
-    )
+    patched, out_coords = strided_near_match(old, new, stride, stride)
     scratch, scratch_out = build_sparse_conv_rulebook(new, stride, stride)
     assert np.array_equal(out_coords, scratch_out)
     assert out_coords.dtype == scratch_out.dtype
     assert_rulebooks_identical(patched, scratch)
     # Transposed convolutions derive from the forward rules, so the
-    # patched rulebook's transpose must match the from-scratch one too.
+    # cached rulebook's transpose must match the from-scratch one too.
     assert_rulebooks_identical(patched.transposed(), scratch.transposed())
 
 
@@ -187,27 +212,6 @@ def test_patch_from_and_to_degenerate_sets():
         assert_rulebooks_identical(patched, build_submanifold_rulebook(new, 3))
 
 
-def test_patch_rulebook_dispatcher():
-    old = random_sparse_tensor(seed=10, nnz=40)
-    new = churned(old, remove=3, add=5, seed=11)
-    delta = coordinate_delta(old.coords, new.coords)
-    sub = patch_rulebook(
-        build_submanifold_rulebook(old, 3), delta, shape=old.shape
-    )
-    assert_rulebooks_identical(sub, build_submanifold_rulebook(new, 3))
-    old_down, old_out = build_sparse_conv_rulebook(old, 2, 2)
-    down, out = patch_rulebook(
-        old_down, delta, stride=2, old_out_coords=old_out
-    )
-    scratch, scratch_out = build_sparse_conv_rulebook(new, 2, 2)
-    assert np.array_equal(out, scratch_out)
-    assert_rulebooks_identical(down, scratch)
-    with pytest.raises(ValueError, match="shape"):
-        patch_rulebook(old_down, delta)
-    with pytest.raises(ValueError, match="old_out_coords"):
-        patch_rulebook(old_down, delta, stride=2)
-
-
 OVERLAP_GEOMETRIES = [(3, 2), (4, 2), (3, 1)]
 
 
@@ -216,14 +220,9 @@ OVERLAP_GEOMETRIES = [(3, 2), (4, 2), (3, 1)]
 def test_patch_overlapping_strided_geometries_bit_identical(
     kernel_size, stride, seed
 ):
-    """Tentpole: kernel != stride rulebooks are patched, not rebuilt.
-
-    A changed input voxel perturbs at most ``ceil(kernel/stride)^3``
-    output cells, so the patcher re-derives existence only for the
-    affected neighborhood — and the result (rules, output coordinates,
-    transposed derivation) must match from-scratch matching array for
-    array under randomized add/remove deltas.
-    """
+    """Overlapping ``kernel != stride`` near-matches served by the delta
+    cache (rules, output coordinates, transposed derivation) match
+    from-scratch matching array for array under randomized deltas."""
     rng = np.random.default_rng(seed)
     old = random_sparse_tensor(
         seed=seed + 300, shape=(18, 18, 18), nnz=60 + 25 * (seed % 3)
@@ -234,13 +233,7 @@ def test_patch_overlapping_strided_geometries_bit_identical(
         add=int(rng.integers(0, 18)),
         seed=seed + 400,
     )
-    delta = coordinate_delta(old.coords, new.coords)
-    old_rulebook, old_out = build_sparse_conv_rulebook(
-        old, kernel_size, stride
-    )
-    patched, out_coords = patch_sparse_conv_rulebook(
-        old_rulebook, old_out, delta, stride, new_coords=new.coords
-    )
+    patched, out_coords = strided_near_match(old, new, kernel_size, stride)
     scratch, scratch_out = build_sparse_conv_rulebook(new, kernel_size, stride)
     assert np.array_equal(out_coords, scratch_out)
     assert out_coords.dtype == scratch_out.dtype
@@ -253,13 +246,7 @@ def test_patch_overlapping_degenerate_sets(kernel_size, stride):
     tensor = random_sparse_tensor(seed=14, nnz=30)
     empty = SparseTensor3D.empty(tensor.shape)
     for old, new in ((empty, tensor), (tensor, empty)):
-        delta = coordinate_delta(old.coords, new.coords)
-        old_rulebook, old_out = build_sparse_conv_rulebook(
-            old, kernel_size, stride
-        )
-        patched, out = patch_sparse_conv_rulebook(
-            old_rulebook, old_out, delta, stride, new_coords=new.coords
-        )
+        patched, out = strided_near_match(old, new, kernel_size, stride)
         scratch, scratch_out = build_sparse_conv_rulebook(
             new, kernel_size, stride
         )
@@ -280,56 +267,21 @@ def assert_plans_identical(got, want):
 
 
 def test_patchers_preseed_gather_scatter_plan():
-    """Patched rulebooks hand over their plan arrays (splice byproduct),
-    array-for-array identical to a lazily built plan."""
+    """Patched and strided near-match rulebooks hand over their plan
+    arrays, array-for-array identical to a lazily built plan."""
     old = random_sparse_tensor(seed=15, shape=(18, 18, 18), nnz=120)
     new = churned(old, remove=8, add=8, seed=16)
     delta = coordinate_delta(old.coords, new.coords)
     sub = patch_submanifold_rulebook(
-        build_submanifold_rulebook(old, 3), delta, new.shape,
-        new_coords=new.coords,
+        build_submanifold_rulebook(old, 3), delta, new.shape
     )
     assert sub._plan is not None
     assert_plans_identical(sub._plan, build_submanifold_rulebook(new, 3).plan())
     for kernel_size, stride in [(2, 2), (3, 2)]:
-        old_rulebook, old_out = build_sparse_conv_rulebook(
-            old, kernel_size, stride
-        )
-        patched, _ = patch_sparse_conv_rulebook(
-            old_rulebook, old_out, delta, stride, new_coords=new.coords
-        )
+        patched, _ = strided_near_match(old, new, kernel_size, stride)
         scratch, _ = build_sparse_conv_rulebook(new, kernel_size, stride)
         assert patched._plan is not None
         assert_plans_identical(patched._plan, scratch.plan())
-
-
-def test_patched_rulebook_carries_splice_provenance():
-    from repro.engine import RulebookDelta
-
-    old = random_sparse_tensor(seed=17, nnz=80)
-    new = churned(old, remove=4, add=6, seed=18)
-    delta = coordinate_delta(old.coords, new.coords)
-    patched = patch_submanifold_rulebook(
-        build_submanifold_rulebook(old, 3), delta, new.shape,
-        new_coords=new.coords,
-    )
-    splice = patched._splice
-    assert isinstance(splice, RulebookDelta)
-    assert isinstance(splice, CoordinateDelta)  # drop-in for listeners
-    assert splice.in_map is delta.old_to_new
-    assert splice.out_map is delta.old_to_new  # submanifold: same sites
-    assert len(splice.fresh_slots) == len(patched.rules)
-    # Fresh slots + surviving pairs account for every merged pair.
-    old_rulebook = build_submanifold_rulebook(old, 3)
-    for k, slots in enumerate(splice.fresh_slots):
-        rule = old_rulebook.rules[k]
-        if len(rule):
-            mapped_in = delta.old_to_new[rule[:, 0]]
-            mapped_out = delta.old_to_new[rule[:, 1]]
-            survivors = int(((mapped_in >= 0) & (mapped_out >= 0)).sum())
-        else:
-            survivors = 0
-        assert survivors + len(slots) == len(patched.rules[k])
 
 
 @st.composite
@@ -358,28 +310,9 @@ def site_set_pairs(draw):
     return old, new
 
 
-def expected_fresh_slots(scratch, added_flags, strided):
-    """Per offset, the positions of the pairs that touch an added site."""
-    slots = []
-    for rule in scratch.rules:
-        fresh = added_flags[rule[:, 0]]
-        if not strided:
-            fresh = fresh | added_flags[rule[:, 1]]
-        slots.append(np.flatnonzero(fresh))
-    return slots
-
-
-def assert_patch_matches_cold(patched, scratch, delta, strided):
+def assert_patch_matches_cold(patched, scratch):
     assert_rulebooks_identical(patched, scratch)
     assert_plans_identical(patched._plan, scratch.plan())
-    added_flags = np.zeros(delta.new_size, dtype=bool)
-    added_flags[delta.added_new_rows] = True
-    want = expected_fresh_slots(scratch, added_flags, strided)
-    got = patched._splice.fresh_slots
-    assert len(got) == len(want)
-    for mine, theirs in zip(got, want):
-        assert mine.dtype == np.int64
-        assert np.array_equal(mine, theirs)
 
 
 @given(site_set_pairs(), st.sampled_from([1, 3, 5]))
@@ -390,8 +323,9 @@ def test_property_one_pass_submanifold_patch_matches_cold(pair, kernel_size):
     patched = patch_submanifold_rulebook(
         build_submanifold_rulebook(old, kernel_size), delta, new.shape
     )
-    scratch = build_submanifold_rulebook(new, kernel_size)
-    assert_patch_matches_cold(patched, scratch, delta, strided=False)
+    assert_patch_matches_cold(
+        patched, build_submanifold_rulebook(new, kernel_size)
+    )
 
 
 @given(site_set_pairs(), st.sampled_from([(2, 2), (3, 1), (3, 2), (2, 1), (3, 3)]))
@@ -399,14 +333,10 @@ def test_property_one_pass_submanifold_patch_matches_cold(pair, kernel_size):
 def test_property_one_pass_strided_patch_matches_cold(pair, geometry):
     old, new = pair
     kernel_size, stride = geometry
-    delta = coordinate_delta(old.coords, new.coords)
-    old_rulebook, old_out = build_sparse_conv_rulebook(old, kernel_size, stride)
-    patched, out = patch_sparse_conv_rulebook(
-        old_rulebook, old_out, delta, stride, new_coords=new.coords
-    )
+    patched, out = strided_near_match(old, new, kernel_size, stride)
     scratch, scratch_out = build_sparse_conv_rulebook(new, kernel_size, stride)
     assert np.array_equal(out, scratch_out)
-    assert_patch_matches_cold(patched, scratch, delta, strided=True)
+    assert_patch_matches_cold(patched, scratch)
 
 
 def test_submanifold_patch_rejects_grid_beyond_key_limit():
@@ -449,25 +379,121 @@ def test_delta_cache_patches_near_match_and_rebuilds_far_match():
     assert stats.patch_rate == pytest.approx(1 / 3)
 
 
-def test_delta_cache_patches_sparse_conv_including_overlapping():
+def test_delta_cache_builds_strided_near_match_cold():
+    """A strided near-match is built cold, counted as a rebuild and not
+    notified: the one-pass strided builder is cheaper than a patch."""
     cache = DeltaRulebookCache(threshold=0.25)
+    spy = RefreshSpy()
+    cache.register_listener(spy)
     base = random_sparse_tensor(seed=23, shape=(20, 20, 20), nnz=200)
     near = churned(base, remove=6, add=4, seed=24)
-    cache.sparse_conv(base, 2, 2)
-    rulebook, out_coords = cache.sparse_conv(near, 2, 2)
-    assert cache.patches == 1
-    scratch, scratch_out = build_sparse_conv_rulebook(near, 2, 2)
-    assert np.array_equal(out_coords, scratch_out)
-    assert_rulebooks_identical(rulebook, scratch)
-    # Overlapping geometry (kernel != stride) patches too — the former
-    # ``patchable = kernel_size == stride`` gate is gone.
-    cache.sparse_conv(base, 3, 2)
-    patched, patched_out = cache.sparse_conv(near, 3, 2)
-    assert cache.patches == 2
-    assert cache.rebuilds == 2
-    scratch3, scratch3_out = build_sparse_conv_rulebook(near, 3, 2)
-    assert np.array_equal(patched_out, scratch3_out)
-    assert_rulebooks_identical(patched, scratch3)
+    for kernel_size, stride in [(2, 2), (3, 2)]:
+        cache.sparse_conv(base, kernel_size, stride)
+        rulebook, out_coords = cache.sparse_conv(near, kernel_size, stride)
+        scratch, scratch_out = build_sparse_conv_rulebook(
+            near, kernel_size, stride
+        )
+        assert np.array_equal(out_coords, scratch_out)
+        assert_rulebooks_identical(rulebook, scratch)
+    assert (cache.misses, cache.patches, cache.rebuilds) == (4, 0, 4)
+    assert spy.calls == 0
+    # The same churn on a submanifold lookup is patched and notified.
+    cache.submanifold(base, 3)
+    cache.submanifold(near, 3)
+    assert (cache.misses, cache.patches, cache.rebuilds) == (6, 1, 5)
+    assert spy.calls == 1
+
+
+class DeltaCacheHistories(RuleBasedStateMachine):
+    """One delta cache and a spy listener under random site-set histories.
+
+    Each step adds sites, removes sites or revisits an earlier site set,
+    then looks the current set up at every geometry.  Every lookup must
+    equal the per-offset reference rule for rule, whether it was a
+    digest hit, a patch or a cold build.
+    """
+
+    SUBMANIFOLD_KERNELS = (1, 3)
+    STRIDED_GEOMETRIES = ((2, 2), (3, 2))
+
+    def __init__(self):
+        super().__init__()
+        self.cache = DeltaRulebookCache(capacity=16, threshold=0.5)
+        self.spy = RefreshSpy()
+        self.cache.register_listener(self.spy)
+        self.lookups = 0
+        self.visited = []
+
+    @initialize(tensor=site_sets())
+    def start(self, tensor):
+        self.shape = tensor.shape
+        self.volume = int(np.prod(tensor.shape))
+        self.sites = frozenset(
+            np.ravel_multi_index(tensor.coords.T, tensor.shape).tolist()
+        )
+        self.look_up()
+
+    @rule(data=st.data())
+    def add_sites(self, data):
+        picks = data.draw(
+            st.lists(st.integers(0, self.volume - 1), max_size=6)
+        )
+        self.sites = self.sites | frozenset(picks)
+        self.look_up()
+
+    @precondition(lambda self: self.sites)
+    @rule(data=st.data())
+    def remove_sites(self, data):
+        picks = data.draw(
+            st.lists(st.sampled_from(sorted(self.sites)), max_size=6)
+        )
+        self.sites = self.sites - frozenset(picks)
+        self.look_up()
+
+    @rule(data=st.data())
+    def revisit(self, data):
+        self.sites = data.draw(st.sampled_from(self.visited))
+        self.look_up()
+
+    def look_up(self):
+        self.visited.append(self.sites)
+        flat = np.array(sorted(self.sites), dtype=np.int64)
+        coords = np.stack(np.unravel_index(flat, self.shape), axis=1)
+        tensor = SparseTensor3D(
+            coords.reshape(-1, 3), np.ones((len(flat), 1)), self.shape
+        )
+        for kernel_size in self.SUBMANIFOLD_KERNELS:
+            assert_rulebooks_identical(
+                self.cache.submanifold(tensor, kernel_size),
+                build_submanifold_rulebook_reference(tensor, kernel_size),
+            )
+        patches = self.cache.patches
+        for kernel_size, stride in self.STRIDED_GEOMETRIES:
+            got, got_out = self.cache.sparse_conv(tensor, kernel_size, stride)
+            want, want_out = build_sparse_conv_rulebook_reference(
+                tensor, kernel_size, stride
+            )
+            assert np.array_equal(got_out, want_out)
+            assert_rulebooks_identical(got, want)
+        assert self.cache.patches == patches  # strided lookups never patch
+        self.lookups += len(self.SUBMANIFOLD_KERNELS) + len(
+            self.STRIDED_GEOMETRIES
+        )
+
+    @invariant()
+    def counters_add_up(self):
+        cache = self.cache
+        assert cache.hits + cache.misses == self.lookups == cache.lookups
+        assert cache.patches + cache.rebuilds == cache.misses
+        assert self.spy.calls == cache.patches
+        if self.spy.last is not None:
+            assert type(self.spy.last[2]) is CoordinateDelta
+
+
+DeltaCacheHistories.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=12
+)
+test_delta_cache_histories_match_reference = DeltaCacheHistories.TestCase
 
 
 def test_delta_cache_chains_patches_along_a_drift():
@@ -547,19 +573,8 @@ def test_delta_cache_notifies_backend_listener():
 def test_listener_registered_twice_notifies_once():
     """Satellite regression: duplicate registration must not double-fire
     ``refresh`` (which would double-count ``plans_refreshed``)."""
-    from repro.engine import RulebookDelta
-
-    class SpyListener:
-        def __init__(self):
-            self.calls = 0
-            self.last = None
-
-        def refresh(self, old, new, delta):
-            self.calls += 1
-            self.last = (old, new, delta)
-
     cache = DeltaRulebookCache(threshold=0.25)
-    spy = SpyListener()
+    spy = RefreshSpy()
     cache.register_listener(spy)
     cache.register_listener(spy)  # re-registration: deduped by identity
     cache.register_listener(spy)
@@ -569,11 +584,9 @@ def test_listener_registered_twice_notifies_once():
     cache.submanifold(churned(base, 4, 4, seed=71), 3)
     assert cache.patches == 1
     assert spy.calls == 1  # exactly one notification per patch
-    # Listeners receive the enriched splice provenance, which is still a
-    # CoordinateDelta for consumers that only diff coordinates.
+    # Listeners receive the coordinate delta that drove the patch.
     old, new, delta = spy.last
-    assert isinstance(delta, RulebookDelta)
-    assert delta.out_map is not None and delta.fresh_slots is not None
+    assert type(delta) is CoordinateDelta
     # A session re-registering its backend on the shared cache is the
     # production shape of the same hazard.
     backend = get_backend("numpy")
