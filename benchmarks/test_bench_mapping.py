@@ -13,6 +13,10 @@ Two comparisons, both recorded in ``results/mapping_speedup.txt``:
    :class:`MappingCache` (every drifted frame rebuilds) on a drifting
    voxel scene — the acceptance criterion: at <= 5% per-frame voxel
    churn, delta splicing is at least 2x faster.
+3. The kNN kernel and ``cKDTree`` on degenerate clouds (duplicates,
+   lines, a plane, far outliers) that once took seconds to over a
+   minute; each kNN row is gated at 2 s, and subsampled copies small
+   enough for the dense reference are checked bit-identical.
 """
 
 import time
@@ -30,6 +34,34 @@ RESOLUTION = 192
 K = 8
 KERNEL_POINTS = 8000
 KERNEL_RESOLUTION = 128
+DEGENERATE_POINTS = 5000
+#: About 10x the kernel's time on these clouds: catches a return of the
+#: >60 s pathologies without tripping on a slow host.
+DEGENERATE_GATE_S = 2.0
+DEGENERATE_SUBSAMPLE = 5
+
+
+def degenerate_clouds(seed=0):
+    """Clouds that break a naive grid search: a tower of duplicates, an
+    axis-aligned line, a diagonal line, a plane, and a dense blob with
+    three outliers 1000 units out (float64 and float32)."""
+    rng = np.random.default_rng(seed)
+    n = DEGENERATE_POINTS
+    blob = np.concatenate([rng.normal(size=(n, 3)), 1000.0 * np.eye(3)])
+    return {
+        "1500 duplicates + 1500 normal": np.concatenate(
+            [np.zeros((1500, 3)), rng.normal(size=(1500, 3))]
+        ),
+        f"axis-aligned line of {n}": np.concatenate(
+            [rng.normal(size=(n, 1)), np.zeros((n, 2))], axis=1
+        ),
+        f"diagonal line of {n}": np.outer(rng.normal(size=n), [1.0, 1.0, 1.0]),
+        f"plane of {n}": np.concatenate(
+            [rng.normal(size=(n, 2)), np.zeros((n, 1))], axis=1
+        ),
+        "blob + 3 outliers at 1000, float64": blob,
+        "blob + 3 outliers at 1000, float32": blob.astype(np.float32),
+    }
 
 
 def drifting_coords(num_frames=6, churn=0.005, seed=0):
@@ -134,6 +166,23 @@ def test_bench_mapping_speedups(write_report):
     )
     delta_speedup = digest_s / delta_s
 
+    # -- degenerate clouds: kNN and cKDTree times, bit-identity -------
+    degenerate = []
+    for name, pts in degenerate_clouds().items():
+        small = pts[::DEGENERATE_SUBSAMPLE]
+        got, want = M.knn(small, k=K), M.knn_bruteforce(small, k=K)
+        assert got.distances.dtype == want.distances.dtype, name
+        assert np.array_equal(got.indices, want.indices), name
+        assert np.array_equal(got.distances, want.distances), name
+        knn_s, tree_s = best_of(
+            [
+                lambda: M.knn(pts, k=K),
+                lambda: cKDTree(pts).query(pts, k=K),
+            ],
+            reps=3,
+        )
+        degenerate.append((name, knn_s, tree_s))
+
     warm_frames = len(frames) - 1
     lines = [
         "Mapping-ops subsystem: sorting-based kernels and delta splicing",
@@ -143,7 +192,7 @@ def test_bench_mapping_speedups(write_report):
         f"on a {KERNEL_RESOLUTION}^3 grid, k={K}):",
         f"  brute force (dense distance matrix) {brute_s * 1e3:9.3f} ms",
         f"  scipy cKDTree (build + query)       {kdtree_s * 1e3:9.3f} ms",
-        f"  sorted buckets (expanding shells)   {bucket_s * 1e3:9.3f} ms",
+        f"  sorted buckets (expanding cubes)    {bucket_s * 1e3:9.3f} ms",
         f"  bucket / cKDTree: {bucket_s / kdtree_s:.2f}x",
         f"  speedup vs brute force: {kernel_speedup:.2f}x (acceptance: >= 1.5x)",
         "",
@@ -156,7 +205,16 @@ def test_bench_mapping_speedups(write_report):
         f"  delta cache       (splice per frame)  "
         f"{delta_s * 1e3 / warm_frames:9.3f} ms/frame",
         f"  speedup: {delta_speedup:.2f}x (acceptance: >= 2x)",
+        "",
+        f"kNN on degenerate clouds (k={K}; subsampled 1/{DEGENERATE_SUBSAMPLE} "
+        "copies bit-identical to brute force):",
+        f"  {'cloud':36s} {'kNN ms':>9s} {'cKDTree ms':>11s}",
     ]
+    lines += [
+        f"  {name:36s} {knn_s * 1e3:9.1f} {tree_s * 1e3:11.1f}"
+        for name, knn_s, tree_s in degenerate
+    ]
+    lines.append(f"  gate: every kNN row <= {DEGENERATE_GATE_S:.0f} s")
     write_report("mapping_speedup", "\n".join(lines))
 
     assert kernel_speedup >= 1.5, (
@@ -167,3 +225,7 @@ def test_bench_mapping_speedups(write_report):
     assert delta_speedup >= 2.0, (
         f"delta splice speedup {delta_speedup:.2f}x below 2x"
     )
+    for name, knn_s, _ in degenerate:
+        assert knn_s <= DEGENERATE_GATE_S, (
+            f"kNN on {name} took {knn_s:.2f} s, above {DEGENERATE_GATE_S:.0f} s"
+        )

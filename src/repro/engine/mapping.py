@@ -8,13 +8,16 @@ packed cell keys), then answer every neighborhood query by merging the
 handful of sorted buckets that can intersect it.  This module is the
 software analogue of that datapath:
 
-* :func:`knn` — expanding-shell search over the bucket grid.  Each round
-  merges one more Chebyshev shell of buckets into every query's own
-  top-``k`` (a per-row selection, never one global sort); a query
-  retires once its ``k``-th candidate is provably closer than any
-  unscanned bucket.
-* :func:`ball_query` — single-shell merge with the cell size tied to the
-  query radius, capped at ``max_samples`` per query.
+* :func:`knn` — expanding-cube search over the bucket grid.  Each round
+  builds, per distinct center cell, one table of the points in every
+  bucket within Chebyshev distance ``s``, sorted by point index; each
+  pending query takes its center's table, and one stable sort by
+  ``d^2`` per row puts it in ``(d^2, index)`` order (a per-row
+  selection, never one global sort or a cross-round merge).  A query
+  retires once its ``k``-th candidate is provably closer than any point
+  outside its cube, and otherwise re-scans a wider cube next round.
+* :func:`ball_query` — the kNN's first round with the cell size tied to
+  the query radius, capped at ``max_samples`` per query.
 * :func:`farthest_point_sample` — the inherently sequential greedy picker,
   vectorized across points per iteration.
 * :func:`group_points` — the gather stage: neighbor tables to dense
@@ -32,7 +35,7 @@ Integer inputs (voxel coordinates) are widened to float64 — exact for the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,10 +52,12 @@ _MAX_CELLS_F32 = 1 << 12
 class MappingStats:
     """Workload counters for one mapping-operator invocation.
 
-    ``candidates`` counts (query, point) distance evaluations — the merge
-    phase's work; ``matches`` counts valid entries in the result — the
-    gather phase's work; ``cells`` is the occupied-bucket count of the
-    sort phase; ``shells`` the outermost Chebyshev shell merged (kNN).
+    ``candidates`` counts (query, point) candidate pairs, each query's
+    points in the neighborhood that answered it (for the kNN, its cube
+    at retirement) — the merge phase's work; ``matches`` counts valid
+    entries in the result — the gather phase's work; ``cells`` is the
+    occupied-bucket count of the sort phase; ``shells`` the outermost
+    Chebyshev shell merged (kNN).
     """
 
     op: str
@@ -100,24 +105,27 @@ def as_point_array(points) -> np.ndarray:
     return np.ascontiguousarray(pts)
 
 
-def _squared_distances(a, b) -> np.ndarray:
+def _squared_distances(a, b, out=None) -> np.ndarray:
     """Squared distances between per-axis coordinate stacks ``a`` and ``b``
-    (``a[0]`` holds x values, ...), broadcasting like ``a[i] - b[i]``.
+    (``a[0]`` holds x values, ...), broadcasting like ``a - b``.
 
     ``dx*dx + dy*dy + dz*dz`` adds left to right, which is exactly the
     order :func:`_distance_matrix` reduces its length-3 axis in, so bucket
     and brute-force paths agree bitwise; working on column vectors avoids
-    the strided ``(M, 3)`` row reduction.
+    the strided ``(M, 3)`` row reduction.  ``out`` (``b`` itself, say)
+    takes the per-axis differences and squares in place.
     """
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    dz = a[2] - b[2]
-    return dx * dx + dy * dy + dz * dz
+    diff = np.subtract(a, b, out=out)
+    diff *= diff
+    d2 = diff[0] + diff[1]
+    d2 += diff[2]
+    return d2
 
 
-def _columns(points: np.ndarray) -> np.ndarray:
-    """``(3, N)`` contiguous per-axis layout of ``(N, 3)`` rows."""
-    return np.ascontiguousarray(points.T)
+def _columns(points: np.ndarray, dtype=None) -> np.ndarray:
+    """``(3, N)`` contiguous per-axis layout of ``(N, 3)`` rows, widened
+    to ``dtype`` (exactly, as the arithmetic would promote them)."""
+    return np.ascontiguousarray(points.T, dtype=dtype)
 
 
 def _distance_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -125,34 +133,17 @@ def _distance_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2)
 
 
-def _offset_keys(offsets: np.ndarray) -> np.ndarray:
-    """Signed packed-key deltas of cell offsets (``pack_coords`` layout)."""
-    weights = np.array([1 << (2 * _AXIS_BITS), 1 << _AXIS_BITS, 1], dtype=np.int64)
-    return offsets @ weights
+#: Packed-key weight of one cell step along each axis (``pack_coords``).
+_KEY_STEP = np.array([1 << (2 * _AXIS_BITS), 1 << _AXIS_BITS, 1], dtype=np.int64)
 
 
-def _shell_offsets(radius: int, ncells: np.ndarray) -> np.ndarray:
-    """Cells at Chebyshev distance exactly ``radius`` (the full cube at 1)
-    that can lie inside a grid of ``ncells`` cells per axis.
-
-    An offset reaching ``ncells[a]`` or more along an axis leaves the
-    grid from every center, so each axis range is clipped to
-    ``ncells[a] - 1``: a flat or thin cloud walks a flat or thin shell.
-    """
-    reach = np.minimum(radius, ncells - 1)
-    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in reach]
-    cube = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    if radius <= 1:
-        return cube
-    return cube[np.abs(cube).max(axis=1) == radius]
-
-
-def _shell_size(radius: int, ncells: np.ndarray) -> int:
-    """``len(_shell_offsets(radius, ncells))`` without building it."""
-    outer = int(np.prod(2 * np.minimum(radius, ncells - 1) + 1))
-    if radius <= 1:
-        return outer
-    return outer - int(np.prod(2 * np.minimum(radius - 1, ncells - 1) + 1))
+def _cube_keys(reach: np.ndarray) -> np.ndarray:
+    """Signed packed-key deltas, ascending, of every cell offset reaching
+    at most ``reach[a]`` cells along axis ``a``."""
+    x, y, z = (
+        np.arange(-r, r + 1, dtype=np.int64) * step for r, step in zip(reach, _KEY_STEP)
+    )
+    return (x[:, None, None] + y[None, :, None] + z[None, None, :]).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,79 +251,129 @@ def _shell_reach(
     return gap - 32.0 * _max_cells(point_dtype) * unit
 
 
-def _shell_buckets(
-    grid: _BucketGrid, centers: np.ndarray, shell: int
+def _cube_buckets(
+    grid: _BucketGrid, centers: np.ndarray, radius: int
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Occupied buckets at Chebyshev distance ``shell`` from each center
-    (the whole 27-cell cube at 1), as ``(center, bucket)`` pairs grouped
-    by center, plus the next shell holding any occupied bucket.
+    """Occupied buckets within Chebyshev distance ``radius`` of each
+    center, as ``(center, bucket)`` pairs grouped by center, plus the
+    next radius whose cube holds a bucket outside this one.
 
-    A shell has ``~24 shell^2`` cells but a grid only ``num_cells``
-    occupied ones; whichever list is shorter is walked.  Near shells
-    look up each offset cell's key; a wide shell — a query far from the
+    A cube has ``(2 radius + 1)^3`` cells but a grid only ``num_cells``
+    occupied ones; whichever list is shorter is walked.  Small cubes
+    look up each offset cell's key; a wide one — a query far from the
     cloud, or in a sparse or thin region — scans the occupied cells'
     Chebyshev distances instead, so its cost stops growing with the
-    shell, and the scan names the next non-empty shell so empty ones
-    are skipped.
+    radius, and the scan names the next radius that adds a bucket so
+    empty shells are skipped.
     """
-    if _shell_size(shell, grid.ncells) > grid.num_cells:
+    # An offset reaching ncells[a] or more along an axis leaves the grid
+    # from every center, so a flat or thin cloud walks a flat or thin cube.
+    reach = np.minimum(radius, grid.ncells - 1)
+    lifted_extent = int((grid.ncells + 2 * reach).max())
+    if np.prod(2 * reach + 1) > grid.num_cells or lifted_extent > 1 << _AXIS_BITS:
         gap = np.abs(centers[:, None, :] - grid.cells[None, :, :]).max(axis=2)
-        owner, bucket = np.nonzero(gap <= 1 if shell == 1 else gap == shell)
-        beyond = gap[gap > shell]
+        owner, bucket = np.nonzero(gap <= radius)
+        beyond = gap[gap > radius]
         following = int(beyond.min()) if beyond.size else int(grid.ncells.max())
         return owner, bucket, following
-    offsets = _shell_offsets(shell, grid.ncells)
-    # Unsigned views fold both bounds into one compare; inside the grid a
-    # packed key is linear in its cell, so keys add center and offset.
-    cells = centers[:, None, :] + offsets[None, :, :]
-    inside = (cells.view(np.uint64) < grid.ncells.astype(np.uint64)).all(axis=2)
-    keys = np.where(
-        inside, pack_coords(centers)[:, None] + _offset_keys(offsets)[None, :], -1
-    )
-    pos = np.minimum(np.searchsorted(grid.cell_keys, keys), grid.num_cells - 1)
-    owner, slot = np.nonzero(inside & (grid.cell_keys[pos] == keys))
-    return owner, pos[owner, slot], shell + 1
+    # Cells lifted by the reach keep every axis of center + offset within
+    # [0, 2^21), where packing is linear: keys add center and offset, and
+    # a cell off the grid packs to a key no occupied cell has, so one
+    # probe needs no bounds mask.
+    lift = int(reach @ _KEY_STEP)
+    lifted = grid.cell_keys + lift
+    keys = (pack_coords(centers) + lift)[:, None] + _cube_keys(reach)[None, :]
+    pos = np.minimum(np.searchsorted(lifted, keys), grid.num_cells - 1)
+    owner, slot = np.nonzero(lifted[pos] == keys)
+    return owner, pos[owner, slot], radius + 1
 
 
-def _gather_candidates(
-    grid: _BucketGrid, centers: np.ndarray, shell: int
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Merge the buckets of shell ``shell`` around ``centers`` into flat
-    candidate pairs.
+#: Pad value of a candidate table while its rows are sorted by index.
+_PAD_KEY = np.iinfo(np.int64).max
 
-    Returns ``(qidx, cand, following)``: for every (local) query, the
-    indices of all points whose cell is in its shell, grouped by query,
-    and the next shell in which any of these centers has an occupied
-    bucket (every shell between is empty for all of them).  Each (query,
-    point) pair appears at most once because shell cells are distinct
-    per query.  Queries sharing a center cell share its bucket list, so
-    buckets are found once per distinct center and the list is then
-    replicated per query.
+
+class _CandidateBand(NamedTuple):
+    """Candidate tables of one power-of-two width.
+
+    ``table`` is ``(centers, width)``: each distinct center cell's
+    candidate point indices in ascending order, ``-1`` padded at the
+    end.  ``rows`` are the (local) queries whose center is in the band,
+    ``slot`` each row's center row of ``table`` and ``population`` its
+    candidate count.
     """
-    num_queries = len(centers)
-    empty = np.empty(0, dtype=np.int64)
-    if num_queries == 0 or grid.num_cells == 0:
-        return empty, empty, shell + 1
+
+    rows: np.ndarray
+    table: np.ndarray
+    slot: np.ndarray
+    population: np.ndarray
+
+
+def _candidate_rows(
+    grid: _BucketGrid, centers: np.ndarray, radius: int
+) -> Tuple[List[_CandidateBand], int]:
+    """Per-center candidate tables: the points of every occupied bucket
+    within Chebyshev distance ``radius`` of each query's center cell.
+
+    Returns ``(bands, following)``; ``following`` is the next radius at
+    which any of these centers gains a bucket (every shell between is
+    empty for all of them).  A table is built and sorted by point index
+    once per distinct center, and tables are banded by candidate count
+    into power-of-two widths, so one crowded cell never pads the others.
+    """
     _, first, inverse = np.unique(
         pack_coords(centers), return_index=True, return_inverse=True
     )
-    owner, bucket, following = _shell_buckets(grid, centers[first], shell)
+    owner, bucket, following = _cube_buckets(grid, centers[first], radius)
     counts = grid.starts[bucket + 1] - grid.starts[bucket]
-    # Sorted-order positions of every distinct center's candidates.
-    runs = np.repeat(grid.starts[bucket] - (np.cumsum(counts) - counts), counts)
-    center_cand = grid.order[runs + np.arange(len(runs), dtype=np.int64)]
-    per_center = np.bincount(owner, weights=counts, minlength=len(first))
-    per_center = per_center.astype(np.int64)
-    per_query = per_center[inverse]
-    total = int(per_query.sum())
-    if total == 0:
-        return empty, empty, following
-    qidx = np.repeat(np.arange(num_queries, dtype=np.int64), per_query)
-    shift = (np.cumsum(per_center) - per_center)[inverse] - (
-        np.cumsum(per_query) - per_query
+    population = np.bincount(owner, weights=counts, minlength=len(first))
+    population = population.astype(np.int64)
+    band = np.ceil(np.log2(np.maximum(population, 1))).astype(np.int64)
+    # Centers grouped by band each own one row of their band's width in a
+    # flat buffer; every bucket's run of points lands with one scatter.
+    by_band = np.argsort(band, kind="stable")
+    width = np.left_shift(1, band[by_band])
+    offset = np.cumsum(width) - width
+    start = np.empty(len(first), dtype=np.int64)
+    start[by_band] = offset
+    # Candidate j of the concatenated bucket runs sits at sorted-order
+    # position src[j] + j and lands in flat slot dst[j] + j.
+    step = np.arange(int(counts.sum()), dtype=np.int64)
+    run = np.cumsum(counts) - counts
+    src = np.repeat(grid.starts[bucket] - run, counts)
+    dst = np.repeat(start[owner] - (np.cumsum(population) - population)[owner], counts)
+    flat = np.full(int(width.sum()), _PAD_KEY, dtype=np.int64)
+    flat[dst + step] = grid.order[src + step]
+    levels, lows, sizes = np.unique(
+        band[by_band], return_index=True, return_counts=True
     )
-    cand = center_cand[np.repeat(shift, per_query) + np.arange(total)]
-    return qidx, cand, following
+    slot = np.empty(len(first), dtype=np.int64)
+    slot[by_band] = np.arange(len(first), dtype=np.int64) - np.repeat(lows, sizes)
+    tables = [
+        flat[offset[low] : offset[low] + width[low] * size].reshape(size, -1)
+        for low, size in zip(lows, sizes)
+    ]
+    for table in tables:
+        table.sort(axis=1)
+    flat[flat == _PAD_KEY] = -1
+    members = [np.flatnonzero(band[inverse] == level) for level in levels]
+    bands = [
+        _CandidateBand(rows, table, slot[inverse[rows]], population[inverse[rows]])
+        for rows, table in zip(members, tables)
+    ]
+    return bands, following
+
+
+def _table_distances(
+    q_cols: np.ndarray, p_cols: np.ndarray, band: _CandidateBand
+) -> np.ndarray:
+    """``(rows, width)`` squared distances from each query of the band
+    (the columns of ``q_cols``) to the points of its center's table row;
+    pad columns read ``inf``.  Point coordinates are gathered once per
+    center and then copied to the rows."""
+    coords = np.take(np.take(p_cols, band.table, axis=1), band.slot, axis=1)
+    d2 = _squared_distances(q_cols[:, :, None], coords, out=coords)
+    d2[np.arange(band.table.shape[1]) >= band.population[:, None]] = np.inf
+    return d2
 
 
 def _knn_grid(points: np.ndarray, k: int) -> _BucketGrid:
@@ -366,83 +407,19 @@ def _knn_grid(points: np.ndarray, k: int) -> _BucketGrid:
     return grid if grid.cell_size == size else _build_grid(points, size)
 
 
-def _row_kth(
-    prev_d: np.ndarray, qidx: np.ndarray, d2: np.ndarray, k: int
-) -> np.ndarray:
-    """Each row's k-th smallest distance over its kept ``prev_d`` entries
-    and its new candidates ``d2`` (grouped by row ``qidx``).
-
-    Rows are banded by candidate count into power-of-two widths, and each
-    band takes a per-row ``np.partition`` of its padded ``(rows, k +
-    width)`` table, so padding never exceeds the band's own candidates:
-    one crowded row cannot widen every other row's table.
-    """
-    rows = len(prev_d)
-    counts = np.bincount(qidx, minlength=rows)
-    seg_starts = np.cumsum(counts) - counts
-    col = k + np.arange(len(qidx), dtype=np.int64) - seg_starts[qidx]
-    band = np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64)
-    cand_band = band[qidx]
-    slot = np.empty(rows, dtype=np.int64)
-    kth = np.empty(rows, dtype=prev_d.dtype)
-    for level in np.unique(band):
-        members = np.flatnonzero(band == level)
-        slot[members] = np.arange(len(members), dtype=np.int64)
-        width = k + (1 << int(level))
-        table = np.full((len(members), width), np.inf, dtype=prev_d.dtype)
-        table[:, :k] = prev_d[members]
-        hit = cand_band == level
-        table[slot[qidx[hit]], col[hit]] = d2[hit]
-        kth[members] = np.partition(table, k - 1, axis=1)[:, k - 1]
-    return kth
-
-
-def _merge_topk(
-    prev_i: np.ndarray,
-    prev_d: np.ndarray,
-    qidx: np.ndarray,
-    cand: np.ndarray,
-    d2: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge one shell's candidate pairs into each row's running top-k.
-
-    ``prev_i`` / ``prev_d`` are the ``(P, k)`` rows kept so far (``-1`` /
-    ``inf`` padded); ``(qidx, cand, d2)`` are the shell's pairs, grouped
-    by row.  Only entries at or below the row's k-th distance (ties
-    included) are sorted by ``(row, d^2, index)`` — about ``k`` per row —
-    and the first ``k`` kept.  Returns the merged rows and each row's
-    k-th distance (``inf`` while fewer than ``k`` are known).
-    """
-    rows, k = prev_i.shape
-    kth = _row_kth(prev_d, qidx, d2, k)
-    old = (prev_i >= 0) & (prev_d <= kth[:, None])
-    new = d2 <= kth[qidx]
-    sq = np.concatenate([np.nonzero(old)[0], qidx[new]])
-    sc = np.concatenate([prev_i[old], cand[new]])
-    sd = np.concatenate([prev_d[old], d2[new]])
-    order = np.lexsort((sc, sd, sq))
-    sq, sc, sd = sq[order], sc[order], sd[order]
-    counts = np.bincount(sq, minlength=rows)
-    seg_starts = np.cumsum(counts) - counts
-    rank = np.arange(len(sq), dtype=np.int64) - seg_starts[sq]
-    keep = rank < k
-    merged_i = np.full((rows, k), -1, dtype=np.int64)
-    merged_d = np.full((rows, k), np.inf, dtype=prev_d.dtype)
-    merged_i[sq[keep], rank[keep]] = sc[keep]
-    merged_d[sq[keep], rank[keep]] = sd[keep]
-    return merged_i, merged_d, kth
-
-
 def knn(points, queries=None, *, k: int) -> MappingResult:
-    """``k`` nearest neighbors by expanding-shell search over the grid.
+    """``k`` nearest neighbors by expanding-cube search over the grid.
 
     ``queries=None`` queries the point set against itself (every point is
     then its own nearest neighbor at distance 0).  Ties at equal squared
     distance resolve to the smaller point index; rows with fewer than
-    ``k`` reachable points pad with ``-1`` / ``inf``.  Each round merges
-    one more Chebyshev shell into every pending query's own top-k
-    (:func:`_merge_topk`) and retires the queries whose k-th distance
-    beats the :func:`_shell_reach` bound on every unscanned point.
+    ``k`` reachable points pad with ``-1`` / ``inf``.  Round ``s`` gives
+    every pending query its center's table of the points within
+    Chebyshev distance ``s`` (:func:`_candidate_rows`) and sorts each row
+    by ``d^2`` once.  A query retires with its first ``k`` columns when
+    its k-th distance beats the :func:`_shell_reach` bound on every
+    point outside the cube; otherwise it re-scans its wider cube in the
+    next round, so nothing is merged across rounds.
     """
     pts = as_point_array(points)
     qs = pts if queries is None else as_point_array(queries)
@@ -460,30 +437,33 @@ def knn(points, queries=None, *, k: int) -> MappingResult:
     grid = _knn_grid(pts, k)
     centers = _query_cells(grid, qs)
     reach = _shell_reach(grid, qs, centers, pts.dtype)
-    q_cols, p_cols = _columns(qs), _columns(pts)
+    dtype = np.result_type(pts, qs)
+    q_cols, p_cols = _columns(qs, dtype), _columns(pts, dtype)
     indices = np.full((num_queries, k), -1, dtype=np.int64)
-    dists = np.full((num_queries, k), np.inf, dtype=np.result_type(pts, qs))
+    dists = np.full((num_queries, k), np.inf, dtype=dtype)
     max_shell = int(grid.ncells.max())
     pending = np.arange(num_queries, dtype=np.int64)
     examined = 0
     scanned, shell = 0, 1
     while pending.size:
-        local_q, cand, following = _gather_candidates(
-            grid, centers[pending], shell
-        )
-        examined += len(cand)
-        d2 = _squared_distances(
-            np.take(q_cols[:, pending], local_q, axis=1),
-            np.take(p_cols, cand, axis=1),
-        )
-        rows_i, rows_d, kth = _merge_topk(
-            indices[pending], dists[pending], local_q, cand, d2
-        )
-        indices[pending] = rows_i
-        dists[pending] = rows_d
-        radius = np.maximum(shell + reach[pending], 0.0) * grid.cell_size
-        done = (kth < radius * radius) | (shell >= max_shell)
-        pending = pending[~done]
+        bands, following = _candidate_rows(grid, centers[pending], shell)
+        waiting = np.zeros(len(pending), dtype=bool)
+        for band in bands:
+            query = pending[band.rows]
+            d2 = _table_distances(q_cols[:, query], p_cols, band)
+            # Columns are in point-index order, so a stable sort by d^2
+            # leaves every row in exact (d^2, index) order.
+            order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            top_d = np.take_along_axis(d2, order, axis=1)
+            kth = top_d[:, k - 1] if order.shape[1] == k else np.inf
+            bound = np.maximum(shell + reach[query], 0.0) * grid.cell_size
+            done = (kth < bound * bound) | (shell >= max_shell)
+            retired, width = query[done], order.shape[1]
+            indices[retired, :width] = band.table[band.slot[done, None], order[done]]
+            dists[retired, :width] = top_d[done]
+            examined += int(band.population[done].sum())
+            waiting[band.rows] = ~done
+        pending = pending[waiting]
         scanned, shell = shell, following
     stats = MappingStats(
         "knn",
@@ -533,33 +513,31 @@ def knn_bruteforce(points, queries=None, *, k: int) -> MappingResult:
 
 
 def _cap_rows(
-    qidx: np.ndarray,
-    cand: np.ndarray,
-    d2: np.ndarray,
-    num_queries: int,
-    max_samples: int,
-    dtype,
+    table: np.ndarray, d2: np.ndarray, keep: np.ndarray, max_samples: int, dtype
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack per-query candidate lists (sorted by point index) into dense
-    ``(Q, max_samples)`` tables, ``-1`` / ``inf`` padded."""
-    indices = np.full((num_queries, max_samples), -1, dtype=np.int64)
-    dists = np.full((num_queries, max_samples), np.inf, dtype=dtype)
-    counts = np.bincount(qidx, minlength=num_queries)
-    seg_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    rank = np.arange(len(qidx), dtype=np.int64) - seg_starts[qidx]
-    keep = rank < max_samples
-    indices[qidx[keep], rank[keep]] = cand[keep]
-    dists[qidx[keep], rank[keep]] = d2[keep]
-    return indices, dists, np.minimum(counts, max_samples).astype(np.int64)
+    """The first ``max_samples`` kept columns of each row of a candidate
+    table (columns in point-index order), packed into dense ``(rows,
+    max_samples)`` tables, ``-1`` / ``inf`` padded, plus the per-row
+    counts."""
+    rank = np.cumsum(keep, axis=1) - 1
+    row, col = np.nonzero(keep & (rank < max_samples))
+    indices = np.full((len(table), max_samples), -1, dtype=np.int64)
+    dists = np.full((len(table), max_samples), np.inf, dtype=dtype)
+    indices[row, rank[row, col]] = table[row, col]
+    dists[row, rank[row, col]] = d2[row, col]
+    return indices, dists, np.minimum(rank[:, -1] + 1, max_samples)
 
 
 def ball_query(points, queries=None, *, radius: float, max_samples: int) -> MappingResult:
     """Neighbors within ``radius``, in point-index order, ``max_samples`` max.
 
-    The cell size equals the radius, so the 27-cell neighborhood of a
-    query's cell covers its whole ball; one merge pass answers every
-    query.  A zero radius matches only exact duplicates (and the query
-    itself in self-query mode).
+    The cell size equals the radius, so the 27-cell cube around a
+    query's cell covers its whole ball; one pass over the candidate
+    tables (:func:`_candidate_rows`, the kNN's first round) answers every
+    query, and since table columns are in point-index order, each row's
+    first ``max_samples`` in-radius columns are its result.  A zero
+    radius matches only exact duplicates (and the query itself in
+    self-query mode).
     """
     pts = as_point_array(points)
     qs = pts if queries is None else as_point_array(queries)
@@ -570,32 +548,32 @@ def ball_query(points, queries=None, *, radius: float, max_samples: int) -> Mapp
     if max_samples < 1:
         raise ValueError(f"max_samples must be positive, got {max_samples}")
     num_queries, num_points = len(qs), len(pts)
+    indices = np.full((num_queries, max_samples), -1, dtype=np.int64)
+    dists = np.full((num_queries, max_samples), np.inf, dtype=pts.dtype)
+    counts = np.zeros(num_queries, dtype=np.int64)
     if num_queries == 0 or num_points == 0:
-        indices = np.full((num_queries, max_samples), -1, dtype=np.int64)
-        dists = np.full((num_queries, max_samples), np.inf, dtype=pts.dtype)
         stats = MappingStats(
             "ball_query", "bucket", num_points, num_queries, 0, 0, 0, 0
         )
-        return MappingResult(
-            indices, dists, np.zeros(num_queries, dtype=np.int64), None, stats
-        )
+        return MappingResult(indices, dists, counts, None, stats)
 
     extent = pts.max(axis=0) - pts.min(axis=0)
     span = float(extent.max())
     floor_size = span / float(_max_cells(pts.dtype)) if span > 0 else 1.0
-    cell_size = max(radius, floor_size)
-    grid = _build_grid(pts, cell_size)
-    qidx, cand, _ = _gather_candidates(grid, _query_cells(grid, qs), 1)
-    examined = len(cand)
-    d2 = _squared_distances(
-        np.take(_columns(qs), qidx, axis=1), np.take(_columns(pts), cand, axis=1)
-    )
-    within = d2 <= radius * radius
-    qidx, cand, d2 = qidx[within], cand[within], d2[within]
-    order = np.lexsort((cand, qidx))
-    indices, dists, counts = _cap_rows(
-        qidx[order], cand[order], d2[order], num_queries, max_samples, pts.dtype
-    )
+    grid = _build_grid(pts, max(radius, floor_size))
+    dtype = np.result_type(pts, qs)
+    q_cols, p_cols = _columns(qs, dtype), _columns(pts, dtype)
+    bands, _ = _candidate_rows(grid, _query_cells(grid, qs), 1)
+    examined = 0
+    for band in bands:
+        d2 = _table_distances(q_cols[:, band.rows], p_cols, band)
+        table = band.table[band.slot]
+        within = (table >= 0) & (d2 <= radius * radius)
+        rows = band.rows
+        indices[rows], dists[rows], counts[rows] = _cap_rows(
+            table, d2, within, max_samples, pts.dtype
+        )
+        examined += int(band.population.sum())
     stats = MappingStats(
         "ball_query",
         "bucket",
@@ -632,14 +610,9 @@ def ball_query_bruteforce(
             indices, dists, np.zeros(num_queries, dtype=np.int64), None, stats
         )
     d2 = _distance_matrix(qs, pts)
-    qidx, cand = np.nonzero(d2 <= radius * radius)
+    table = np.broadcast_to(np.arange(num_points, dtype=np.int64), d2.shape)
     indices, dists, counts = _cap_rows(
-        qidx.astype(np.int64),
-        cand.astype(np.int64),
-        d2[qidx, cand],
-        num_queries,
-        max_samples,
-        pts.dtype,
+        table, d2, d2 <= radius * radius, max_samples, pts.dtype
     )
     stats = MappingStats(
         "ball_query",
@@ -669,12 +642,12 @@ def farthest_point_sample(points, num_samples: int) -> MappingResult:
     if take > 0:
         cols = _columns(pts)
         indices[0] = 0
-        best = _squared_distances(cols, pts[0])
+        best = _squared_distances(cols, pts[0][:, None])
         examined = num_points
         for step in range(1, take):
             far = int(np.argmax(best))
             indices[step] = far
-            np.minimum(best, _squared_distances(cols, pts[far]), out=best)
+            np.minimum(best, _squared_distances(cols, pts[far][:, None]), out=best)
             examined += num_points
     counts = np.asarray([take], dtype=np.int64)
     stats = MappingStats(

@@ -32,15 +32,36 @@ def voxel_cloud(seed, n=2000, resolution=96):
 
 
 def assert_knn_identical(got, want):
+    # np.array_equal ignores dtype: a float64 pad or sentinel must not
+    # upcast a float32 result unnoticed.
+    assert got.distances.dtype == want.distances.dtype
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.distances, want.distances)
     assert np.array_equal(got.counts, want.counts)
 
 
 def assert_ball_identical(got, want):
+    assert got.distances.dtype == want.distances.dtype
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.distances, want.distances)
     assert np.array_equal(got.counts, want.counts)
+
+
+def degenerate_clouds():
+    """A plane, an axis-aligned line, a diagonal line and a dense blob
+    with two far outliers, all from one seeded generator."""
+    rng = np.random.default_rng(5)
+    plane = np.concatenate(
+        [rng.normal(size=(400, 2)), np.zeros((400, 1))], axis=1
+    )
+    line = np.concatenate(
+        [rng.normal(size=(200, 1)), np.zeros((200, 2))], axis=1
+    )
+    diagonal = np.outer(rng.normal(size=300), [1.0, 1.0, 1.0])
+    outliers = np.concatenate(
+        [rng.random((400, 3)), [[300.0, 0.0, 0.0], [0.0, 0.0, -300.0]]]
+    )
+    return {"plane": plane, "line": line, "diagonal": diagonal, "outliers": outliers}
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +89,21 @@ def test_knn_self_query_voxel_coords(seed):
     # Self-query: every point is its own nearest neighbor at distance 0.
     assert np.array_equal(got.indices[:, 0], np.arange(len(coords)))
     assert np.all(got.distances[:, 0] == 0.0)
+
+
+def test_mixed_dtype_points_and_queries():
+    """float32 points with float64 queries: distances are computed in
+    float64, as the brute-force reference does, before the result takes
+    the points' dtype."""
+    pts = random_cloud(4, n=300, dtype=np.float32)
+    qs = random_cloud(104, n=37) + 0.1
+    for k in (1, 8):
+        assert_knn_identical(M.knn(pts, qs, k=k), M.knn_bruteforce(pts, qs, k=k))
+    radius = float(np.abs(pts).max()) * 0.3
+    assert_ball_identical(
+        M.ball_query(pts, qs, radius=radius, max_samples=8),
+        M.ball_query_bruteforce(pts, qs, radius=radius, max_samples=8),
+    )
 
 
 def test_knn_duplicate_points_tie_break_by_index():
@@ -122,24 +158,16 @@ def test_knn_far_outside_queries():
 def test_knn_degenerate_geometry():
     """Planes and lines (lower-dimensional clouds) stress the adaptive
     cell-size refinement; identical points stress the zero-span path."""
-    rng = np.random.default_rng(5)
-    plane = np.concatenate(
-        [rng.normal(size=(400, 2)), np.zeros((400, 1))], axis=1
-    )
+    clouds = degenerate_clouds()
+    plane, line = clouds["plane"], clouds["line"]
     assert_knn_identical(M.knn(plane, k=6), M.knn_bruteforce(plane, k=6))
-    line = np.concatenate(
-        [rng.normal(size=(200, 1)), np.zeros((200, 2))], axis=1
-    )
     assert_knn_identical(M.knn(line, k=3), M.knn_bruteforce(line, k=3))
     same = np.ones((7, 3))
     assert_knn_identical(M.knn(same, k=4), M.knn_bruteforce(same, k=4))
     # A diagonal line and a dense blob with far outliers: the outliers'
-    # shells outgrow the occupied cells and are found by scanning them.
-    diagonal = np.outer(rng.normal(size=300), [1.0, 1.0, 1.0])
+    # cubes outgrow the occupied cells and are found by scanning them.
+    diagonal, outliers = clouds["diagonal"], clouds["outliers"]
     assert_knn_identical(M.knn(diagonal, k=5), M.knn_bruteforce(diagonal, k=5))
-    outliers = np.concatenate(
-        [rng.random((400, 3)), [[300.0, 0.0, 0.0], [0.0, 0.0, -300.0]]]
-    )
     assert_knn_identical(M.knn(outliers, k=8), M.knn_bruteforce(outliers, k=8))
 
 
@@ -377,6 +405,42 @@ def test_mapping_result_and_stats_shape():
     # a cloud this size — that is the point of the sorting dataflow.
     brute = M.knn_bruteforce(pts, k=4)
     assert stats.candidates < brute.stats.candidates
+
+
+def test_knn_stats_and_modelled_cycles_pinned():
+    """``MappingStats.candidates`` prices ``MappingCostModel``'s merge
+    phase, so a search that counts its candidates differently would
+    shift every modelled point-network figure silently.  The counts are
+    pinned to the values the per-row-merge search recorded; a query's
+    candidates are its cube population at retirement, which equals the
+    sum of the shells it merged."""
+    from repro.engine.session import InferenceSession
+    from repro.geometry.synthetic import make_shapenet_like_cloud
+    from repro.geometry.voxelizer import Voxelizer
+    from repro.nn import PointNetClassifier
+
+    clouds = degenerate_clouds()
+    pinned = [
+        (voxel_cloud(0), 8, (130294, 15976, 863, 2)),
+        (clouds["plane"], 6, (5365, 2400, 345, 18)),
+        (clouds["outliers"], 8, (32061, 3216, 111, 1279)),
+    ]
+    for points, k, want in pinned:
+        stats = M.knn(points, k=k).stats
+        assert (stats.candidates, stats.matches, stats.cells, stats.shells) == want
+    cloud = make_shapenet_like_cloud(seed=1, category="chair", n_points=3800)
+    voxelizer = Voxelizer(resolution=192, normalize=False, occupancy_only=True)
+    frame = voxelizer.voxelize(cloud)
+    assert frame.nnz == 2010
+    stats = M.knn(frame, k=8).stats
+    assert (stats.candidates, stats.matches, stats.cells, stats.shells) == (
+        101788,
+        16080,
+        634,
+        2,
+    )
+    estimate = InferenceSession(net=PointNetClassifier()).estimate(frame)
+    assert estimate.total_mapping_cycles == 20544
 
 
 def test_as_point_array_accepts_tensors_and_widens_ints():
