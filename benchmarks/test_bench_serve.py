@@ -50,7 +50,7 @@ def drifting_requests(frames=4, clients=3, resolution=48, points=4000):
 
 def served_fps(requests, session, concurrency):
     outputs, stats = serve_frames(
-        requests, session=session, concurrency=concurrency, max_delay_s=0.0
+        requests, session=session, concurrency=concurrency
     )
     return outputs, stats.fps
 

@@ -220,10 +220,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="micro-batch size cap per dispatch (default 16)",
     )
     parser.add_argument(
-        "--max-delay-ms", type=float, default=2.0,
-        help="dispatcher linger for stragglers in ms (default 2.0)",
-    )
-    parser.add_argument(
         "--no-baseline", action="store_true",
         help="skip the sequential (unbatched) baseline comparison",
     )
@@ -264,7 +260,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace-dump", type=str, default=None, metavar="PATH",
         help="after serving, write the recent per-micro-batch stage "
-        "timelines (queue-wait/linger/execute/respond) as JSON to PATH",
+        "timelines (queue-wait/execute/respond) as JSON to PATH",
     )
     _add_backend_argument(parser)
     _add_delta_argument(parser)
@@ -347,7 +343,6 @@ def _run_serve_cluster(parser: argparse.ArgumentParser, args) -> int:
             session=session,
             concurrency=args.clients,
             max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms / 1e3,
             registry=registry,
             tracer=tracer,
         )
@@ -360,7 +355,6 @@ def _run_serve_cluster(parser: argparse.ArgumentParser, args) -> int:
             session=single,
             concurrency=args.clients,
             max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms / 1e3,
         )
         # Bit-identity referee: sequential in-process numpy runs.
         reference = InferenceSession(backend="numpy")
@@ -471,7 +465,6 @@ def run_serve(argv: List[str]) -> int:
         session=session,
         concurrency=args.clients,
         max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
         max_pending=args.max_pending,
         deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
         registry=registry,

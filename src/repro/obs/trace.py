@@ -1,10 +1,9 @@
 """Per-request stage timelines: spans, traces, and a bounded tracer.
 
 A ``Trace`` is one request's (or one micro-batch's) timeline through
-the serving stack: queue-wait → batch-linger → prepare/patch →
-execute → respond.  Each stage is a ``Span`` with monotonic start/end
-offsets relative to the trace origin, so a dumped trace reads as a
-waterfall.
+the serving stack: queue-wait → execute (prepare/patch included) →
+respond.  Each stage is a ``Span`` with monotonic start/end offsets
+relative to the trace origin, so a dumped trace reads as a waterfall.
 
 The ``Tracer`` keeps a fixed-capacity ring buffer of the most recent
 traces (old ones fall off the back) and serialises them to JSON for

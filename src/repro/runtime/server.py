@@ -8,12 +8,14 @@ one plan and are bit-identical whether run one call at a time or in one
 
 * clients ``await server.submit(tensor)`` and get the network output for
   their frame back, unaware of batching;
-* a single dispatcher task drains the queue, coalescing up to
-  ``max_batch`` requests (waiting at most ``max_delay_s`` for
-  stragglers) into one
+* a single dispatcher task takes the oldest request plus whatever is
+  already queued behind it (up to ``max_batch`` in all) and dispatches
+  them at once as one
   :meth:`repro.engine.session.InferenceSession.run_batch` call, which
   groups the micro-batch by coordinate digest internally — so concurrent
-  requests over the same scene share one plan lookup and one dispatch;
+  requests over the same scene share one plan lookup and one dispatch.
+  It never waits for more requests to arrive: a batch is whatever queued
+  up while the previous one ran;
 * results are **bit-identical** to per-request ``session.run`` calls,
   for every execution backend (the session's batching contract plus the
   backend-parity contract of :mod:`repro.engine.backend`).
@@ -61,10 +63,10 @@ class ServeStats:
     """Aggregate statistics of one serving run.
 
     ``wall_seconds`` spans from the first request's dequeue to the last
-    batch's completion — it *includes* the dispatcher's coalescing
-    linger and event-loop scheduling, so ``fps`` is honest sustained
-    throughput.  ``busy_seconds`` is the time actually spent inside
-    ``run_batch`` (the compute fraction of the span).
+    batch's completion — it *includes* idle gaps between batches and
+    event-loop scheduling, so ``fps`` is honest sustained throughput.
+    ``busy_seconds`` is the time actually spent inside ``run_batch``
+    (the compute fraction of the span).
 
     Instances are immutable-in-practice *snapshots*: the live counters
     behind them are ``repro_serve_*`` metrics in the server's
@@ -129,11 +131,6 @@ class SessionServer:
         The warm session to serve (a default one is built if omitted).
     max_batch:
         Upper bound on requests per ``run_batch`` dispatch.
-    max_delay_s:
-        How long the dispatcher waits for additional requests once one
-        is pending.  ``0`` dispatches whatever is immediately queued
-        (pure latency mode); a small positive value trades microseconds
-        of latency for larger digest groups (throughput mode).
     max_pending:
         Bound on accepted-but-unserved requests.  ``None`` (default)
         queues without limit; with a bound, :meth:`submit` raises
@@ -157,16 +154,15 @@ class SessionServer:
         serve counters.
     tracer:
         Ring buffer receiving one per-micro-batch stage timeline
-        (queue-wait → batch-linger → execute → respond).  ``None``
-        builds a private 256-deep :class:`repro.obs.trace.Tracer`;
-        tracing follows ``registry.enabled``.
+        (queue-wait → execute → respond).  ``None`` builds a private
+        256-deep :class:`repro.obs.trace.Tracer`; tracing follows
+        ``registry.enabled``.
     """
 
     def __init__(
         self,
         session: Optional[InferenceSession] = None,
         max_batch: int = 16,
-        max_delay_s: float = 0.002,
         max_pending: Optional[int] = None,
         deadline_s: Optional[float] = None,
         registry: Optional[MetricRegistry] = None,
@@ -174,10 +170,6 @@ class SessionServer:
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_s < 0:
-            raise ValueError(
-                f"max_delay_s must be >= 0, got {max_delay_s}"
-            )
         if max_pending is not None and max_pending < 1:
             raise ValueError(
                 f"max_pending must be >= 1 (or None), got {max_pending}"
@@ -188,7 +180,6 @@ class SessionServer:
             )
         self.session = session if session is not None else InferenceSession()
         self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_s)
         self.max_pending = None if max_pending is None else int(max_pending)
         self.deadline_s = None if deadline_s is None else float(deadline_s)
         self.registry = registry if registry is not None else MetricRegistry()
@@ -228,10 +219,6 @@ class SessionServer:
         self._m_wait = reg.histogram(
             "repro_serve_queue_wait_seconds",
             "Queue wait: enqueue to dequeue by the dispatcher.",
-        )
-        self._m_linger = reg.histogram(
-            "repro_serve_linger_seconds",
-            "Batch-coalescing linger after the first dequeue.",
         )
         self._m_execute = reg.histogram(
             "repro_serve_execute_seconds",
@@ -329,32 +316,20 @@ class SessionServer:
     # ------------------------------------------------------------------
     # Dispatcher
     # ------------------------------------------------------------------
-    async def _collect_batch(self, first) -> list:
-        """Coalesce up to ``max_batch`` requests around ``first``."""
+    def _collect_batch(self, first) -> list:
+        """``first`` plus what is already queued, up to ``max_batch``.
+
+        Never waits for stragglers: a micro-batch shares only its plan
+        lookup, so holding the oldest request back would add latency
+        without saving compute.
+        """
         batch = [first]
-        if self.max_delay_s > 0:
-            deadline = asyncio.get_running_loop().time() + self.max_delay_s
-            while len(batch) < self.max_batch:
-                timeout = deadline - asyncio.get_running_loop().time()
-                if timeout <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), timeout=timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if item is None:
-                    self._queue.put_nowait(None)  # keep the stop sentinel
-                    break
-                batch.append(item)
-        else:
-            while len(batch) < self.max_batch and not self._queue.empty():
-                item = self._queue.get_nowait()
-                if item is None:
-                    self._queue.put_nowait(None)
-                    break
-                batch.append(item)
+        while len(batch) < self.max_batch and not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item is None:
+                self._queue.put_nowait(None)  # keep the stop sentinel
+                break
+            batch.append(item)
         return batch
 
     def _drop_cancelled(self, batch: list) -> list:
@@ -418,11 +393,10 @@ class SessionServer:
                 self._span_start = time.perf_counter()
             dequeue_t = time.monotonic()
             batch = self._expire_overdue(
-                self._drop_cancelled(await self._collect_batch(first))
+                self._drop_cancelled(self._collect_batch(first))
             )
             if not batch:
                 continue
-            collect_end_t = time.monotonic()
             tensors = [tensor for tensor, _, _ in batch]
             pre = self.session.stats if self.registry.enabled else None
             start = time.perf_counter()
@@ -456,7 +430,6 @@ class SessionServer:
             self._record_batch(
                 batch,
                 dequeue_t=dequeue_t,
-                collect_end_t=collect_end_t,
                 execute_s=end - start,
                 exec_end_t=exec_end_t,
                 respond_t=time.monotonic(),
@@ -467,7 +440,6 @@ class SessionServer:
         self,
         batch: list,
         dequeue_t: float,
-        collect_end_t: float,
         execute_s: float,
         exec_end_t: float,
         respond_t: float,
@@ -475,9 +447,9 @@ class SessionServer:
     ) -> None:
         """Histograms + one stage-timeline trace for a dispatched batch.
 
-        The timeline (queue-wait → batch-linger → execute → respond) is
-        laid out on the shared monotonic clock, origin at the earliest
-        member's enqueue.  Prepare/patch work happens *inside* the
+        The timeline (queue-wait → execute → respond) is laid out on the
+        shared monotonic clock, origin at the earliest member's
+        enqueue.  Prepare/patch work happens *inside* the
         execute span (the session's own ``repro_session_*`` histograms
         carry that split); its cache activity is attached as span
         metadata from the session-stats delta across the batch.
@@ -487,7 +459,6 @@ class SessionServer:
         waits = [dequeue_t - enqueued for _, _, enqueued in batch]
         for wait in waits:
             self._m_wait.observe(max(wait, 0.0))
-        self._m_linger.observe(max(collect_end_t - dequeue_t, 0.0))
         self._m_execute.observe(execute_s)
         self._m_batch_size.observe(len(batch))
         for _, _, enqueued in batch:
@@ -500,11 +471,9 @@ class SessionServer:
         trace.add_span(
             "queue-wait", 0.0, dequeue_t - origin, max_wait_s=max(waits)
         )
-        trace.add_span("batch-linger", dequeue_t - origin,
-                       collect_end_t - origin)
         trace.add_span(
             "execute",
-            collect_end_t - origin,
+            dequeue_t - origin,
             exec_end_t - origin,
             run_batch_s=execute_s,
             plan_misses=post.plan_misses - pre.plan_misses,
@@ -519,7 +488,6 @@ async def serve(
     session: Optional[InferenceSession] = None,
     concurrency: int = 8,
     max_batch: int = 16,
-    max_delay_s: float = 0.002,
     max_pending: Optional[int] = None,
     deadline_s: Optional[float] = None,
     registry: Optional[MetricRegistry] = None,
@@ -549,7 +517,6 @@ async def serve(
     async with SessionServer(
         session=session,
         max_batch=max_batch,
-        max_delay_s=max_delay_s,
         max_pending=max_pending,
         deadline_s=deadline_s,
         registry=registry,

@@ -33,8 +33,12 @@ failure path is how error handling grows its own failure modes.
 
 Payloads are pickled with :data:`pickle.HIGHEST_PROTOCOL` (numpy
 arrays cross zero-copy on pickle 5 buffers within a process, and
-compactly over the wire).  :data:`MAX_PAYLOAD_BYTES` bounds what a
-reader will allocate from a length field before trusting the stream.
+compactly over the wire).  :func:`payload_cap` bounds what a reader
+will allocate from a length field before trusting the stream, per
+message type: :data:`MAX_PAYLOAD_BYTES` for the frames that carry
+tensors, specs or replies, :data:`MAX_CONTROL_PAYLOAD_BYTES` for the
+control frames (``HEALTH`` / ``REFRESH`` requests, ``ERROR`` replies),
+so one forged control header cannot force a gigabyte read.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ HEADER_BYTES = _HEADER.size
 #: Refuse to allocate more than this from a frame's length field (a
 #: corrupted or hostile header must not become a 4 GiB allocation).
 MAX_PAYLOAD_BYTES = 1 << 30
+#: The cap of control frames, whose payloads are a few short fields.
+MAX_CONTROL_PAYLOAD_BYTES = 64 << 10
 
 _MAX_REQUEST_ID = (1 << 64) - 1
 
@@ -88,6 +94,22 @@ REQUEST_TYPES = (
     MessageType.HEALTH,
     MessageType.SPEC_SYNC,
 )
+
+
+_CONTROL_TYPES = frozenset(
+    (MessageType.HEALTH, MessageType.REFRESH, MessageType.ERROR)
+)
+
+#: ``ERROR`` messages are cut to this many characters, so the reply
+#: stays under the control cap even at four UTF-8 bytes a character.
+_ERROR_MESSAGE_CHARS = 8192
+
+
+def payload_cap(msg_type: MessageType) -> Tuple[str, int]:
+    """``(name, bytes)`` of the payload cap that applies to ``msg_type``."""
+    if msg_type in _CONTROL_TYPES:
+        return "MAX_CONTROL_PAYLOAD_BYTES", MAX_CONTROL_PAYLOAD_BYTES
+    return "MAX_PAYLOAD_BYTES", MAX_PAYLOAD_BYTES
 
 
 class WireError(RuntimeError):
@@ -148,10 +170,11 @@ def encode_frame(
         payload = b"" if obj is None else pickle.dumps(
             obj, protocol=pickle.HIGHEST_PROTOCOL
         )
-    if len(payload) > MAX_PAYLOAD_BYTES:
+    cap_name, cap = payload_cap(msg_type)
+    if len(payload) > cap:
         raise ValueError(
-            f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD_BYTES "
-            f"({MAX_PAYLOAD_BYTES})"
+            f"{MessageType(msg_type).name} payload of {len(payload)} bytes "
+            f"exceeds {cap_name} ({cap})"
         )
     header = _HEADER.pack(
         MAGIC,
@@ -184,10 +207,11 @@ def decode_header(header: bytes) -> Tuple[MessageType, int, int, int]:
         msg_type = MessageType(raw_type)
     except ValueError:
         raise ProtocolError(f"unknown message type {raw_type}") from None
-    if length > MAX_PAYLOAD_BYTES:
+    cap_name, cap = payload_cap(msg_type)
+    if length > cap:
         raise ProtocolError(
-            f"declared payload of {length} bytes exceeds MAX_PAYLOAD_BYTES "
-            f"({MAX_PAYLOAD_BYTES})"
+            f"declared {msg_type.name} payload of {length} bytes exceeds "
+            f"{cap_name} ({cap})"
         )
     return msg_type, request_id, length, crc
 
@@ -253,7 +277,10 @@ async def write_frame(
 
 def error_payload(exc: BaseException) -> dict:
     """The ``ERROR`` frame body describing a worker-side exception."""
-    return {"kind": type(exc).__name__, "message": str(exc)}
+    return {
+        "kind": type(exc).__name__,
+        "message": str(exc)[:_ERROR_MESSAGE_CHARS],
+    }
 
 
 def raise_if_error(frame: Frame) -> Frame:

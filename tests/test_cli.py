@@ -141,7 +141,7 @@ def test_cli_stream_delta_threshold_validation():
 def test_cli_serve_subcommand(capsys):
     assert main(
         ["serve", "--frames", "2", "--clients", "3", "--resolution", "24",
-         "--points", "1500", "--max-delay-ms", "20"]
+         "--points", "1500"]
     ) == 0
     out = capsys.readouterr().out
     assert "served 6 requests" in out
@@ -331,7 +331,7 @@ def test_cli_serve_metrics_port_and_trace_dump(tmp_path, capsys):
     traces = json.loads(trace_path.read_text())
     assert traces, "expected at least one micro-batch trace"
     names = [span["name"] for span in traces[0]["spans"]]
-    assert names == ["queue-wait", "batch-linger", "execute", "respond"]
+    assert names == ["queue-wait", "execute", "respond"]
 
 
 def test_cli_serve_rejects_bad_metrics_port():

@@ -1,6 +1,7 @@
 """Tests for the asyncio serving front door (SessionServer / serve)."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +29,46 @@ def frame(seed, nnz=40):
     return random_sparse_tensor(seed=seed, shape=(16, 16, 16), nnz=nnz, channels=2)
 
 
+class DispatchGate:
+    """Holds the dispatcher inside ``session.run_batch`` until opened.
+
+    While the dispatcher thread waits in the gated ``run_batch``, new
+    submissions stay queued, so a test controls exactly what the next
+    drain sees.  ``batches`` records every dispatched micro-batch (the
+    tensors it carried) in dispatch order.
+    """
+
+    def __init__(self, session):
+        self.opened = threading.Event()
+        self.entered = threading.Event()
+        self.batches = []
+        run_batch = session.run_batch
+
+        def gated_run_batch(tensors):
+            self.batches.append(list(tensors))
+            self.entered.set()
+            self.opened.wait(timeout=30.0)
+            return run_batch(tensors)
+
+        session.run_batch = gated_run_batch
+
+    async def held(self):
+        """Return once the dispatcher is blocked inside ``run_batch``."""
+        assert await asyncio.to_thread(self.entered.wait, 30.0)
+
+    def open(self):
+        self.opened.set()
+
+
+async def until_queued(server, count, spins=100_000):
+    """Yield to the loop until ``count`` items wait in the queue."""
+    for _ in range(spins):
+        if server._queue.qsize() >= count:
+            return
+        await asyncio.sleep(0)
+    raise AssertionError(f"{count} items never reached the queue")
+
+
 def request_mix():
     """Two site sets, several feature variants each — batchable load."""
     base_a, base_b = frame(1), frame(2, nnz=45)
@@ -43,12 +84,13 @@ def request_mix():
     return requests
 
 
-def test_serve_outputs_bit_identical_to_run():
+@pytest.mark.parametrize("max_batch", [1, 2, 8])
+def test_serve_outputs_bit_identical_to_run(max_batch):
     requests = request_mix()
     reference = small_session()
     expected = [reference.run(t) for t in requests]
     outputs, stats = serve_frames(
-        requests, session=small_session(), concurrency=4
+        requests, session=small_session(), concurrency=4, max_batch=max_batch
     )
     assert stats.requests == len(requests)
     for out, ref in zip(outputs, expected):
@@ -59,13 +101,23 @@ def test_serve_outputs_bit_identical_to_run():
 def test_serve_micro_batches_by_digest():
     requests = request_mix()
     session = small_session()
-    _, stats = serve_frames(
-        requests, session=session, concurrency=len(requests), max_delay_s=0.05
-    )
-    # Concurrent submissions coalesce: strictly fewer dispatches than
-    # requests, and the session saw only the two distinct site sets.
-    assert stats.micro_batches < stats.requests
-    assert stats.max_batch_size > 1
+    gate = DispatchGate(session)
+
+    async def scenario():
+        async with SessionServer(session=session) as server:
+            loop = asyncio.get_running_loop()
+            first = loop.create_task(server.submit(requests[0]))
+            await gate.held()
+            rest = [loop.create_task(server.submit(t)) for t in requests[1:]]
+            await until_queued(server, len(rest))
+            gate.open()
+            await asyncio.gather(first, *rest)
+            return server.stats
+
+    stats = asyncio.run(scenario())
+    # Requests that queued behind a running batch coalesce into the
+    # next one, and the session saw only the two distinct site sets.
+    assert stats.batch_sizes == [1, len(requests) - 1]
     assert session.plan_cache.misses == 2
     assert session.stats.frames_run == len(requests)
 
@@ -77,9 +129,42 @@ def test_serve_respects_max_batch():
         session=small_session(),
         concurrency=len(requests),
         max_batch=2,
-        max_delay_s=0.05,
     )
     assert stats.max_batch_size <= 2
+
+
+def test_dispatcher_drains_queued_requests_in_fifo_batches():
+    """A held dispatcher, once released, dispatches what queued behind
+    it as ``max_batch`` then the remainder, in submission order, and a
+    stop() issued while they wait still serves every one of them."""
+    max_batch = 4
+    session = small_session()
+    gate = DispatchGate(session)
+    requests = [frame(20 + i) for i in range(max_batch + 3)]
+
+    async def scenario():
+        server = SessionServer(session=session, max_batch=max_batch)
+        await server.start()
+        loop = asyncio.get_running_loop()
+        first = loop.create_task(server.submit(requests[0]))
+        await gate.held()
+        queued = [loop.create_task(server.submit(t)) for t in requests[1:]]
+        await until_queued(server, len(queued))
+        stopping = loop.create_task(server.stop())
+        await until_queued(server, len(queued) + 1)  # the stop sentinel
+        gate.open()
+        await stopping
+        return await asyncio.gather(first, *queued), server.stats
+
+    outputs, stats = asyncio.run(scenario())
+    assert [len(batch) for batch in gate.batches] == [1, max_batch, 2]
+    dispatched = [t for batch in gate.batches for t in batch]
+    assert len(dispatched) == len(requests)
+    assert all(got is sent for got, sent in zip(dispatched, requests))
+    assert stats.requests == len(requests)
+    reference = small_session()
+    for out, t in zip(outputs, requests):
+        assert np.array_equal(out.features, reference.run(t).features)
 
 
 def test_server_lifecycle_and_submit_guard():
@@ -101,7 +186,7 @@ def test_server_lifecycle_and_submit_guard():
 
 def test_server_drains_queue_on_stop():
     async def scenario():
-        server = SessionServer(session=small_session(), max_delay_s=0.0)
+        server = SessionServer(session=small_session())
         await server.start()
         pending = [
             asyncio.get_running_loop().create_task(server.submit(frame(6)))
@@ -135,7 +220,7 @@ def test_stop_drains_inflight_batches_on_slow_backend():
             return real_run_batch(tensors)
 
         session.run_batch = slow_run_batch
-        server = SessionServer(session=session, max_delay_s=0.0, max_batch=2)
+        server = SessionServer(session=session, max_batch=2)
         await server.start()
         pending = [
             asyncio.get_running_loop().create_task(server.submit(frame(6)))
@@ -173,8 +258,6 @@ def test_server_propagates_errors_to_clients():
 def test_server_validates_parameters():
     with pytest.raises(ValueError, match="max_batch"):
         SessionServer(session=small_session(), max_batch=0)
-    with pytest.raises(ValueError, match="max_delay_s"):
-        SessionServer(session=small_session(), max_delay_s=-1.0)
     with pytest.raises(ValueError, match="concurrency"):
         asyncio.run(serve([frame(8)], session=small_session(), concurrency=0))
 
@@ -184,22 +267,21 @@ def test_server_validates_parameters():
 # ----------------------------------------------------------------------
 def test_submit_rejects_overload_at_max_pending():
     async def scenario():
-        # A long linger keeps requests pending while we overfill.
-        server = SessionServer(
-            session=small_session(),
-            max_pending=2,
-            max_delay_s=0.5,
-            max_batch=16,
-        )
+        # A held dispatcher keeps both requests pending while we
+        # overfill: one inside run_batch, one queued behind it.
+        session = small_session()
+        gate = DispatchGate(session)
+        server = SessionServer(session=session, max_pending=2, max_batch=16)
         async with server:
             loop = asyncio.get_running_loop()
-            accepted = [
-                loop.create_task(server.submit(frame(10))) for _ in range(2)
-            ]
-            await asyncio.sleep(0.02)  # both enqueued, dispatcher lingering
+            accepted = [loop.create_task(server.submit(frame(10)))]
+            await gate.held()
+            accepted.append(loop.create_task(server.submit(frame(10))))
+            await until_queued(server, 1)
             with pytest.raises(ServerOverloaded, match="max_pending=2"):
                 await server.submit(frame(10))
             assert server.stats.rejected_overload == 1
+            gate.open()
             outs = await asyncio.gather(*accepted)
             assert all(out.nnz == frame(10).nnz for out in outs)
             # Backlog drained: submissions are accepted again.
@@ -211,12 +293,10 @@ def test_submit_rejects_overload_at_max_pending():
 
 def test_requests_past_deadline_are_rejected_not_executed():
     async def scenario():
-        # The linger exceeds the deadline, so every dequeued request is
-        # already overdue and must be dropped without compute.
+        # A 1 ns deadline has passed by the time the dispatcher reaches
+        # any request, so every one must be dropped without compute.
         session = small_session()
-        server = SessionServer(
-            session=session, deadline_s=0.01, max_delay_s=0.1
-        )
+        server = SessionServer(session=session, deadline_s=1e-9)
         async with server:
             loop = asyncio.get_running_loop()
             pending = [
@@ -229,9 +309,7 @@ def test_requests_past_deadline_are_rejected_not_executed():
             assert session.stats.frames_run == 0  # no compute burned
 
         # A generous deadline serves normally.
-        server = SessionServer(
-            session=small_session(), deadline_s=30.0, max_delay_s=0.0
-        )
+        server = SessionServer(session=small_session(), deadline_s=30.0)
         async with server:
             out = await server.submit(frame(11))
             assert out.nnz == frame(11).nnz
@@ -245,41 +323,55 @@ def test_cancelled_requests_are_dropped_without_compute():
     sat in the queue must not be batched into ``run_batch``."""
 
     async def scenario():
+        # A held dispatcher keeps both requests queued behind a blocker.
         session = small_session()
-        server = SessionServer(session=session, max_delay_s=0.25, max_batch=16)
+        gate = DispatchGate(session)
+        server = SessionServer(session=session, max_batch=16)
         async with server:
             loop = asyncio.get_running_loop()
+            blocker = loop.create_task(server.submit(frame(15)))
+            await gate.held()
+            kept = frame(13, nnz=35)
             doomed = loop.create_task(server.submit(frame(12)))
-            survivor = loop.create_task(server.submit(frame(13, nnz=35)))
-            await asyncio.sleep(0.02)  # both queued, dispatcher lingering
+            survivor = loop.create_task(server.submit(kept))
+            await until_queued(server, 2)
             doomed.cancel()
-            out = await survivor
-            assert out.nnz == frame(13, nnz=35).nnz
             with pytest.raises(asyncio.CancelledError):
                 await doomed
+            gate.open()
+            out = await survivor
+            assert out.nnz == kept.nnz
+            await blocker
             assert server.stats.rejected_cancelled == 1
-            assert server.stats.requests == 1  # only the survivor served
-            assert session.stats.frames_run == 1  # no compute for the dead one
+            # Of the queued pair only the survivor was served.
+            assert server.stats.requests == 2
+            assert [len(batch) for batch in gate.batches] == [1, 1]
+            assert gate.batches[1][0] is kept
+            assert session.stats.frames_run == 2  # none for the dead one
             assert server._pending == 0  # accounting stays exact
 
         # An all-cancelled batch dispatches nothing at all.
         session2 = small_session()
-        server2 = SessionServer(session=session2, max_delay_s=0.25)
-        async with server2:
-            loop = asyncio.get_running_loop()
-            tasks = [
-                loop.create_task(server2.submit(frame(14))) for _ in range(3)
-            ]
-            await asyncio.sleep(0.02)
-            for task in tasks:
-                task.cancel()
-            results = await asyncio.gather(*tasks, return_exceptions=True)
-            assert all(isinstance(r, asyncio.CancelledError) for r in results)
-            await asyncio.sleep(0.3)  # let the linger window elapse
-            assert server2.stats.rejected_cancelled == 3
-            assert server2.stats.requests == 0
-            assert session2.stats.frames_run == 0
-            assert server2._pending == 0
+        gate2 = DispatchGate(session2)
+        server2 = SessionServer(session=session2)
+        await server2.start()
+        loop = asyncio.get_running_loop()
+        blocker = loop.create_task(server2.submit(frame(15)))
+        await gate2.held()
+        tasks = [loop.create_task(server2.submit(frame(14))) for _ in range(3)]
+        await until_queued(server2, 3)
+        for task in tasks:
+            task.cancel()
+        results = await asyncio.gather(*tasks, return_exceptions=True)
+        assert all(isinstance(r, asyncio.CancelledError) for r in results)
+        gate2.open()
+        await blocker
+        await server2.stop()  # drains the cancelled batch
+        assert server2.stats.rejected_cancelled == 3
+        assert server2.stats.requests == 1  # the blocker only
+        assert len(gate2.batches) == 1
+        assert session2.stats.frames_run == 1
+        assert server2._pending == 0
 
     asyncio.run(scenario())
 
@@ -290,8 +382,7 @@ def test_serve_helper_sheds_rejected_requests():
         requests,
         session=small_session(),
         concurrency=len(requests),
-        max_delay_s=0.2,
-        deadline_s=0.001,
+        deadline_s=1e-9,
     )
     rejected = stats.rejected_deadline + stats.rejected_overload
     assert rejected > 0
@@ -334,12 +425,13 @@ def test_serve_across_backends(backend):
         assert np.array_equal(out.features, ref.features)
 
 
-def test_serve_wall_clock_includes_linger():
-    """fps must be computed over the real serving span (including the
-    coalescing linger), not just time inside run_batch."""
+def test_serve_wall_clock_spans_dispatch():
+    """fps must be computed over the real serving span (including
+    event-loop scheduling between batches), not just time inside
+    run_batch."""
     requests = request_mix()[:4]
     _, stats = serve_frames(
-        requests, session=small_session(), concurrency=4, max_delay_s=0.02
+        requests, session=small_session(), concurrency=4, max_batch=1
     )
     assert stats.wall_seconds >= stats.busy_seconds > 0.0
     assert stats.fps > 0.0
@@ -402,7 +494,7 @@ def test_concurrent_submit_stress_accounting():
 
 def test_serve_metrics_render_and_trace():
     """A shared registry exposes per-stage serve histograms; the tracer
-    records one queue-wait/linger/execute/respond timeline per batch."""
+    records one queue-wait/execute/respond timeline per batch."""
     from repro.obs.metrics import MetricRegistry
     from repro.obs.trace import Tracer
 
@@ -427,14 +519,13 @@ def test_serve_metrics_render_and_trace():
     for name in (
         "repro_serve_e2e_seconds_bucket",
         "repro_serve_queue_wait_seconds_bucket",
-        "repro_serve_linger_seconds_bucket",
         "repro_serve_execute_seconds_bucket",
     ):
         assert name in text
 
     assert len(tracer) == stats.micro_batches
     spans = [span["name"] for span in tracer.dump()[0]["spans"]]
-    assert spans == ["queue-wait", "batch-linger", "execute", "respond"]
+    assert spans == ["queue-wait", "execute", "respond"]
 
 
 def test_serve_disabled_registry_skips_histograms():

@@ -11,6 +11,7 @@ import pytest
 from repro.runtime.wire import (
     HEADER_BYTES,
     MAGIC,
+    MAX_CONTROL_PAYLOAD_BYTES,
     MAX_PAYLOAD_BYTES,
     PROTOCOL_VERSION,
     ChecksumError,
@@ -148,6 +149,52 @@ def test_declared_length_beyond_cap_rejected_before_allocation():
     )
     with pytest.raises(ProtocolError, match="MAX_PAYLOAD_BYTES"):
         decode_header(header)
+
+
+def test_health_header_beyond_control_cap_rejected_before_payload_read():
+    header = _HEADER.pack(
+        MAGIC, PROTOCOL_VERSION, int(MessageType.HEALTH), 1, 1 << 20, 0
+    )
+    with pytest.raises(ProtocolError, match="MAX_CONTROL_PAYLOAD_BYTES"):
+        decode_header(header)
+
+    async def scenario():
+        # Header only, no EOF: a payload read would block, not fail.
+        reader = asyncio.StreamReader()
+        reader.feed_data(header)
+        return await asyncio.wait_for(read_frame(reader), timeout=5.0)
+
+    with pytest.raises(ProtocolError, match="MAX_CONTROL_PAYLOAD_BYTES"):
+        asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("msg_type", list(MessageType))
+def test_payload_cap_per_message_type(msg_type):
+    control = msg_type in (
+        MessageType.HEALTH, MessageType.REFRESH, MessageType.ERROR
+    )
+    length = MAX_CONTROL_PAYLOAD_BYTES + 1
+    header = _HEADER.pack(
+        MAGIC, PROTOCOL_VERSION, int(msg_type), 1, length, 0
+    )
+    payload = bytes(length)
+    if control:
+        with pytest.raises(ProtocolError, match="MAX_CONTROL_PAYLOAD_BYTES"):
+            decode_header(header)
+        with pytest.raises(ValueError, match="MAX_CONTROL_PAYLOAD_BYTES"):
+            encode_frame(msg_type, 1, payload=payload)
+    else:
+        assert decode_header(header)[2] == length
+        assert decode_frame(encode_frame(msg_type, 1, payload=payload))
+
+
+def test_error_payload_fits_control_cap_for_huge_messages():
+    # A worker exception with a 2 MiB message still yields a sendable
+    # ERROR reply: the message is cut, not the reply refused.
+    body = error_payload(ValueError("\u00e9" * (1 << 20)))
+    frame = decode_frame(encode_frame(MessageType.ERROR, 4, body))
+    with pytest.raises(RemoteWorkerError, match="ValueError"):
+        raise_if_error(frame)
 
 
 def test_encode_rejects_oversized_request_id():
