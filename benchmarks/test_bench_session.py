@@ -8,7 +8,8 @@ the default streaming workload.  A second check covers the batching
 surface: ``run_batch`` over repeated site sets must not be slower than
 sequential ``run`` calls by more than the same margin, both on a small
 64^3 grid and on a ~2000-site 192^3 chair on two backend x precision
-cells.
+cells.  A report-only row prices the ``int`` precision's fixed-point
+wrap: warm ``int`` against warm ``float64`` ``run`` on a drifting chair.
 """
 
 import statistics
@@ -20,6 +21,7 @@ from repro.engine import InferenceSession
 from repro.geometry.synthetic import make_shapenet_like_cloud
 from repro.geometry.voxelizer import Voxelizer
 from repro.nn import RulebookCache, UNetConfig, apply_rulebook
+from repro.runtime import DriftingSceneSource
 
 
 def default_workload():
@@ -170,3 +172,45 @@ def test_run_batch_amortizes_planning(write_report):
             f"sequential runs ({sequential_s * 1e3:.3f} ms) beyond the 5% "
             f"margin (median paired ratio {ratio:.3f})"
         )
+
+
+def test_int_precision_cost_report(write_report):
+    """Warm ``int`` / ``float64`` ``run`` on scipy over drift frames of
+    the ~2000-site 192^3 chair.  Both sessions run the same float64
+    GEMMs, so the ratio is the cost of the fixed-point wrap around them
+    (quantize, saturate, dequantize, requantize).  Report only: the
+    ratio is not gated."""
+    chair = make_shapenet_like_cloud(seed=1, category="chair", n_points=3800)
+    voxelizer = Voxelizer(resolution=192, normalize=False, occupancy_only=True)
+    frames = [
+        voxelizer.voxelize(cloud)
+        for cloud in DriftingSceneSource(
+            base_cloud=chair, num_frames=4, churn=0.004, seed=1
+        )
+    ]
+    sessions = [
+        InferenceSession(backend="scipy", precision=precision)
+        for precision in ("float64", "int")
+    ]
+    for session in sessions:
+        session.run_batch(frames)  # warm one plan per frame
+
+    def runs(session):
+        return lambda: [session.run(frame) for frame in frames]
+
+    float_s, int_s, ratio = interleaved_medians(
+        *(runs(session) for session in sessions), reps=20, warmup=1
+    )
+    nnz = round(statistics.mean(frame.nnz for frame in frames))
+    write_report(
+        "session_int_cost",
+        "\n".join(
+            [
+                "Fixed-point cost — warm session.run, scipy backend, "
+                f"{len(frames)} drift frames of a 192^3 chair (mean nnz={nnz})",
+                f"float64: {float_s / len(frames) * 1e3:8.3f} ms/frame",
+                f"int:     {int_s / len(frames) * 1e3:8.3f} ms/frame",
+                f"int / float64 (median paired ratio): {ratio:.3f}",
+            ]
+        ),
+    )

@@ -79,9 +79,7 @@ from repro.quant.fixed_point import (
     ACT_INT16,
     WEIGHT_INT8,
     FixedPointFormat,
-    dequantize,
     quantize_codes,
-    saturate,
 )
 from repro.quant.quantizer import calibrate_scale
 from repro.sparse.coo import SparseTensor3D
@@ -94,7 +92,11 @@ class QuantizationSpec:
     """Fixed-point formats of the session's quantized (``int``) path.
 
     Defaults follow the paper's FPGA deployment: INT8 weights, INT16
-    activations, INT32 accumulators (saturation applied once per layer).
+    activations, INT32 accumulators.  Per conv, the activations and the
+    output are self-calibrated (one LSB = ``max|x| / max_code``) and the
+    accumulators saturate to INT32 once, in the output stage; a layer
+    whose weight codes cannot drive an accumulator past INT32 skips that
+    clamp, which could not bind.
     """
 
     weight_fmt: FixedPointFormat = WEIGHT_INT8
@@ -1290,11 +1292,16 @@ class InferenceSession:
             self._param_casts[id(param)] = cached
         return cached[1]
 
-    def _quantized_param(self, layer) -> Tuple[np.ndarray, float]:
-        """Float64 weight codes plus scale of ``layer`` (memoized).
+    def _quantized_param(self, layer) -> Tuple[np.ndarray, float, bool]:
+        """Float64 weight codes, scale and INT32 saturation flag of
+        ``layer`` (memoized).
 
         Memoizing checks, once per layer, that float64 sums it exactly:
         ``K^3 * Cin`` products of at most ``2^(w_bits + a_bits - 2)``.
+        It also bounds the accumulators: a rulebook matches each output
+        row at most once per offset, so ``|acc| <= max_cout
+        sum_{k,cin} |w_code| * 2^(a_bits - 1)``.  The flag is false when
+        that bound fits INT32, so the saturation could not bind.
         """
         param = layer.weight
         cached = self._param_quant.get(id(param))
@@ -1310,9 +1317,39 @@ class InferenceSession:
                 )
             scale = calibrate_scale(param.value, spec.weight_fmt)
             codes = quantize_codes(param.value, scale, spec.weight_fmt)
-            cached = (param, codes, scale)
+            column_sum = int(np.abs(codes).sum(axis=(0, 1)).max())
+            bound = column_sum << spec.act_fmt.bits - 1
+            cached = (param, codes, scale, bound > ACC_INT32.max_value)
             self._param_quant[id(param)] = cached
-        return cached[1], cached[2]
+        return cached[1], cached[2], cached[3]
+
+
+def _calibrate(values: np.ndarray, fmt: FixedPointFormat) -> Tuple[float, bool]:
+    """``calibrate_scale(values, fmt)``, and whether the code clip binds.
+
+    The peak is ``max(max x, -min x)``, which equals ``max|x|`` without
+    the ``|x|`` temporary.  A scale that is not positive and finite
+    raises :func:`quantize_codes`' ``ValueError``.  Division and
+    ``rint`` are monotone, so ``rint(peak / scale)`` is the largest
+    code magnitude: the ``fmt`` clip can bind only when it exceeds
+    ``max_value``.  With a normal scale (and a format of at most 51
+    bits) it never does, as the scale's relative rounding error is at
+    most 2^-53; a subnormal scale (a peak near ``5e-324 * max_value``)
+    has no such accuracy and can.
+    """
+    peak = max(float(values.max()), -float(values.min())) if values.size else 0.0
+    scale = (peak if peak else 1.0) / fmt.max_value
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    return scale, round(peak / scale) > fmt.max_value
+
+
+def _round_codes(codes: np.ndarray, clips: bool, fmt: FixedPointFormat) -> None:
+    """``rint`` ``codes`` in place, then saturate them to ``fmt`` if
+    :func:`_calibrate` says the clip binds."""
+    np.rint(codes, out=codes)
+    if clips:
+        np.clip(codes, fmt.min_value, fmt.max_value, out=codes)
 
 
 class _FrameOps:
@@ -1378,28 +1415,39 @@ class _FrameOps:
         The ``int`` precision wraps the float64 GEMMs in the fixed-point
         pipeline: activation codes, the weight codes, saturate,
         dequantize, bias, requantize.  Integer codes in float64 sum
-        exactly in any order.
+        exactly in any order.  The activation codes go to one fresh
+        buffer (``features`` may be the caller's array); the output
+        stage then runs in place on ``execute``'s fresh output, as the
+        accelerator's does on its accumulators, and skips the INT32
+        saturation and the code clips where they cannot bind.  Every
+        value equals the step-by-step :mod:`repro.quant` pipeline.
         """
         session = self.session
         fixed_point = session.precision == "int"
         if fixed_point:
-            spec = session.quantization
-            weights, weight_scale = session._quantized_param(layer)
-            act_scale = calibrate_scale(features, spec.act_fmt)
-            features = quantize_codes(features, act_scale, spec.act_fmt)
+            fmt = session.quantization.act_fmt
+            weights, weight_scale, saturates = session._quantized_param(layer)
+            act_scale, clips = _calibrate(features, fmt)
+            features = np.divide(features, act_scale)
+            _round_codes(features, clips, fmt)
         else:
             weights = session._cast_param(layer.weight)
         out = session.backend.execute(
             rulebook, features, weights, num_outputs, stats=session.apply_stats
         )
         if fixed_point:
-            out = dequantize(saturate(out, ACC_INT32), act_scale * weight_scale)
+            if saturates:
+                np.clip(out, ACC_INT32.min_value, ACC_INT32.max_value, out=out)
+            out *= act_scale * weight_scale
         if layer.bias is not None:
-            out = out + session._cast_param(layer.bias).reshape(1, -1)
+            out += session._cast_param(layer.bias).reshape(1, -1)
         if not fixed_point:
             return out
-        out_scale = calibrate_scale(out, spec.act_fmt)
-        return dequantize(quantize_codes(out, out_scale, spec.act_fmt), out_scale)
+        out_scale, clips = _calibrate(out, fmt)
+        out /= out_scale
+        _round_codes(out, clips, fmt)
+        out *= out_scale
+        return out
 
 
 class _EstimateOps:

@@ -17,6 +17,7 @@ from repro.nn import (
 )
 from repro.quant import (
     ACT_INT16,
+    WEIGHT_INT8,
     FixedPointFormat,
     calibrate_scale,
     dequantize,
@@ -157,6 +158,122 @@ def test_int_run_matches_integer_oracle(levels, reps, backend):
             assert out.features.dtype == np.float64
             assert np.array_equal(out.features, ref.features)
             assert np.array_equal(out.coords, ref.coords)
+
+
+def assert_fixed_point_matches_oracle(net, frames, spec=QuantizationSpec()):
+    """``run`` and ``run_batch`` of ``frames`` in the ``int`` precision
+    on both backends equal the session-free int64 walk."""
+    expected = [net.walk(tensor, _IntegerOracleOps(spec)) for tensor in frames]
+    for backend in ("numpy", "scipy"):
+        session = InferenceSession(
+            net=net, precision="int", backend=backend, quantization=spec
+        )
+        singles = [session.run(tensor) for tensor in frames]
+        batched = InferenceSession(
+            net=net, precision="int", backend=backend, quantization=spec
+        ).run_batch(frames)
+        for ref, single, batch_out in zip(expected, singles, batched):
+            for out in (single, batch_out):
+                assert out.features.dtype == np.float64
+                assert np.array_equal(out.features, ref.features)
+
+
+def test_fixed_point_saturation_binds_past_int32():
+    """A conv whose accumulators really pass INT32: 24 input channels
+    of peak codes times all-equal weight codes over the 27 neighbours of
+    a dense cube's interior.  The session keeps the saturation there."""
+    cfg = replace(SMALL_CFG, in_channels=24, levels=2)
+    net = SSUNet(cfg)
+    layer = net.encoders[0].modules[0]
+    layer.weight.value = np.ones_like(layer.weight.value)
+    grid = np.arange(4)
+    coords = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), -1)
+    tensor = SparseTensor3D(
+        coords.reshape(-1, 3), np.ones((64, 24)), (4, 4, 4)
+    )
+    weights_q = quantize(layer.weight.value, 1.0 / 127, WEIGHT_INT8)
+    acts_q = quantize(tensor.features, 1.0 / ACT_INT16.max_value, ACT_INT16)
+    acc = apply_rulebook(
+        build_submanifold_rulebook(tensor, 3), acts_q, weights_q, tensor.nnz
+    )
+    assert acc.max() == 27 * 24 * 127 * ACT_INT16.max_value > ACC_INT32.max_value
+    varied = tensor.with_features(
+        np.random.default_rng(3).uniform(0.5, 1.0, (64, 24))
+    )
+    assert_fixed_point_matches_oracle(net, [tensor, varied])
+
+
+def test_fixed_point_subnormal_peak_clips_codes():
+    """A frame whose activation peak makes a subnormal scale: one LSB of
+    ``5e-324`` turns a peak of ``49150 * 5e-324`` into code 49150, so
+    the INT16 clip binds on every code past 32767.  For the clipped
+    codes to reach the output, first-conv weights of ~2^1000 keep the
+    accumulator scale from underflowing to zero, and zero batch-norm
+    shifts keep the ~1e-18 activations from vanishing beside them."""
+    tiny = np.nextafter(0.0, 1.0)
+    net = SSUNet(SMALL_CFG)
+    conv = net.encoders[0].modules[0]
+    conv.weight.value = conv.weight.value * 2.0 ** 1000
+    for param in net.parameters():
+        if param.name.endswith(".shift"):
+            param.value = np.zeros_like(param.value)
+    tensor = frame(31, nnz=60)
+    codes = np.random.default_rng(31).integers(-49150, 49151, (60, 2))
+    codes[0, 0] = 49150
+    tensor = tensor.with_features(codes * tiny)
+    assert calibrate_scale(tensor.features, ACT_INT16) == tiny
+    assert np.abs(codes).max() > ACT_INT16.max_value
+    assert_fixed_point_matches_oracle(net, [tensor])
+
+
+@pytest.mark.parametrize("backend", ["numpy", "scipy"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fixed_point_non_finite_features_raise(bad, backend):
+    """Non-finite features have no scale; ``run`` and ``run_batch``
+    raise the oracle's ``ValueError``."""
+    net = SSUNet(SMALL_CFG)
+    tensor = frame(32)
+    features = tensor.features.copy()
+    features[3, 1] = bad
+    tensor = tensor.with_features(features)
+    with pytest.raises(ValueError) as want:
+        net.walk(tensor, _IntegerOracleOps(QuantizationSpec()))
+    session = InferenceSession(net=net, precision="int", backend=backend)
+    for call in (session.run, lambda t: session.run_batch([t])):
+        with pytest.raises(ValueError) as got:
+            call(tensor)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "weight_bits, act_bits", [(4, 8), (12, 16)], ids=["int4xint8", "int12xint16"]
+)
+def test_fixed_point_non_default_formats(weight_bits, act_bits):
+    """Other weight x activation formats against the int64 oracle.  On
+    this net INT4 x INT8 skips the INT32 saturation on every conv;
+    INT12 x INT16 keeps it on the seven whose bound passes INT32."""
+    spec = QuantizationSpec(
+        weight_fmt=FixedPointFormat(bits=weight_bits, name=f"INT{weight_bits}"),
+        act_fmt=FixedPointFormat(bits=act_bits, name=f"INT{act_bits}"),
+    )
+    frames = [frame(33, nnz=60), frame(34, nnz=70)]
+    assert_fixed_point_matches_oracle(SSUNet(SMALL_CFG), frames, spec)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "scipy"])
+@pytest.mark.parametrize("precision", ["float64", "float32", "int"])
+def test_run_leaves_input_features_untouched(precision, backend):
+    """The walk writes in place only into arrays it allocated: the
+    caller's features come back byte-identical from ``run`` and
+    ``run_batch`` (float64 features reach the first conv uncopied)."""
+    frames = [frame(35, nnz=60), frame(36, nnz=70)]
+    before = [tensor.features.copy() for tensor in frames]
+    session = small_session(precision=precision, backend=backend)
+    session.run(frames[0])
+    session.run_batch(frames)
+    for tensor, features in zip(frames, before):
+        assert tensor.features.dtype == features.dtype
+        assert tensor.features.tobytes() == features.tobytes()
 
 
 @pytest.mark.parametrize("levels, reps", UNET_SHAPES)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import submanifold_conv3d
@@ -126,6 +126,37 @@ def test_property_quantization_error_bounded(seed, amplitude):
     values = rng.uniform(-amplitude, amplitude, size=50)
     scale = calibrate_scale(values, ACT_INT16)
     assert quantization_error(values, scale, ACT_INT16) <= scale / 2 + 1e-12
+
+
+@given(
+    st.integers(2, 24),
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_codes_fit_format_at_normal_scale(bits, values):
+    """With a normal calibrated scale, ``rint(x / scale)`` never leaves
+    the format: ``scale = fl(peak / max_code)`` carries a relative error
+    of at most 2^-53, too little to lift ``peak / scale`` half a code
+    past ``max_code``.  So the saturating clip cannot bind."""
+    fmt = FixedPointFormat(bits=bits, name=f"INT{bits}")
+    values = np.array(values)
+    scale = calibrate_scale(values, fmt)
+    assume(scale >= np.finfo(np.float64).tiny)
+    assert np.abs(np.rint(values / scale)).max() <= fmt.max_value
+
+
+def test_subnormal_scale_codes_pass_format():
+    """The counterexample beside the property: a subnormal scale has no
+    relative accuracy.  A peak of ``1.5 * 32767 * 5e-324`` calibrates to
+    one LSB of ``5e-324``, so the peak's code is 49150 and only the
+    clip keeps it inside INT16."""
+    peak = np.array([1.5 * ACT_INT16.max_value * 5e-324])
+    scale = calibrate_scale(peak, ACT_INT16)
+    assert 0.0 < scale < np.finfo(np.float64).tiny
+    assert np.rint(peak / scale)[0] == 49150
+    assert quantize(peak, scale, ACT_INT16).tolist() == [ACT_INT16.max_value]
 
 
 @given(st.integers(0, 1000))
