@@ -26,9 +26,9 @@ This package is a from-scratch, repository-scale reproduction of the SOCC
   one object owning the rulebook cache, cross-scale plan cache,
   accelerator/host configuration, and quantization settings, with
   single-frame, batched, and estimate execution surfaces; pluggable
-  execution backends underneath, and an incremental rulebook delta
-  engine (``repro.engine.delta``) that patches cached matchings for
-  nearly-static streams instead of rebuilding them.
+  execution backends underneath, and a delta-splicing neighbor-table
+  cache (``repro.engine.mapping_delta``) for nearly-static point
+  streams.
 
 Quickstart::
 
@@ -67,7 +67,6 @@ from repro.analysis import (
     run_table3,
 )
 from repro.engine import (
-    DeltaRulebookCache,
     ExecutionBackend,
     InferenceSession,
     PlanCache,
@@ -105,6 +104,5 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "DeltaRulebookCache",
     "coordinate_delta",
 ]

@@ -67,11 +67,12 @@ class AcceleratorConfig:
     weight_buffer_depth: int = 16384
     output_buffer_depth: int = 4096
     execution_backend: str = "numpy"
-    #: Churn-ratio bound for incremental rulebook patching in sessions
-    #: built from this config (see :mod:`repro.engine.delta`).  ``0.0``
-    #: (default) keeps all-or-nothing digest caching; a value in
-    #: ``(0, 1]`` lets a digest miss patch the nearest recent matching
-    #: whose coordinate delta stays below the bound.
+    #: Churn-ratio bound for delta splicing of neighbor tables in
+    #: sessions built from this config (see
+    #: :mod:`repro.engine.mapping_delta`).  ``0.0`` (default) keeps
+    #: all-or-nothing digest caching; a value in ``(0, 1]`` lets a
+    #: digest miss splice the nearest recent table whose coordinate
+    #: delta stays below the bound.
     delta_threshold: float = 0.0
     timing: SdmuTiming = field(default_factory=SdmuTiming)
 

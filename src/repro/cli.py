@@ -113,7 +113,7 @@ def build_stream_parser() -> argparse.ArgumentParser:
         "--scene", choices=("rotating", "drifting"), default="rotating",
         help="frame source: 'rotating' (spinning-LiDAR view of a static "
         "object) or 'drifting' (nearly-static scene with per-frame voxel "
-        "churn, the delta-matching regime)",
+        "churn)",
     )
     parser.add_argument(
         "--churn", type=float, default=0.02,
@@ -124,7 +124,6 @@ def build_stream_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="scene seed (default 0)"
     )
     _add_backend_argument(parser)
-    _add_delta_argument(parser)
     return parser
 
 
@@ -133,22 +132,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         "--backend", default="numpy",
         help="execution backend evaluating rulebooks (default numpy); all "
         "backends are bit-identical, they differ in how work is computed",
-    )
-
-
-# Bare-flag sentinel for --delta.  Deliberately not a float (so no
-# user-typed value can collide with it) and not a string (argparse
-# would run string consts through type=float).
-_DELTA_DEFAULT = object()
-
-
-def _add_delta_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--delta", type=float, nargs="?", const=_DELTA_DEFAULT, default=None,
-        metavar="THRESHOLD",
-        help="enable incremental rulebook patching for near-match frames; "
-        "optional churn-ratio threshold in (0, 1] (bare --delta uses the "
-        "engine default)",
     )
 
 
@@ -170,19 +153,6 @@ def _resolve_backend(parser: argparse.ArgumentParser, name: str) -> str:
             f"{list(available_backends())}"
         )
     return name
-
-
-def _resolve_delta(parser: argparse.ArgumentParser, value):
-    """Map the CLI --delta form onto the InferenceSession delta= knob."""
-    if value is None:
-        return None
-    if value is _DELTA_DEFAULT:  # bare --delta: the engine default threshold
-        return True
-    if not 0.0 < value <= 1.0:
-        parser.error(
-            f"--delta threshold must lie in (0, 1], got {value}"
-        )
-    return value
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -263,7 +233,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "timelines (queue-wait/execute/respond) as JSON to PATH",
     )
     _add_backend_argument(parser)
-    _add_delta_argument(parser)
     return parser
 
 
@@ -434,11 +403,8 @@ def run_serve(argv: List[str]) -> int:
                 "--cluster serves through the 'remote' backend; drop "
                 "--backend"
             )
-        if args.delta is not None:
-            parser.error("--cluster does not take --delta")
         return _run_serve_cluster(parser, args)
     backend = _resolve_backend(parser, args.backend)
-    delta = _resolve_delta(parser, args.delta)
     if args.max_pending is not None and args.max_pending < 1:
         parser.error("--max-pending must be >= 1")
     if args.deadline_ms is not None and args.deadline_ms <= 0:
@@ -458,7 +424,7 @@ def run_serve(argv: List[str]) -> int:
     requests = [frame for frame in scene for _ in range(args.clients)]
 
     registry, tracer, endpoint = _obs_setup(args)
-    session = InferenceSession(backend=backend, delta=delta, registry=registry)
+    session = InferenceSession(backend=backend, registry=registry)
     session.warm(scene[0])  # touch the lazy net outside the timed region
     outputs, stats = serve_frames(
         requests,
@@ -486,22 +452,11 @@ def run_serve(argv: List[str]) -> int:
             f"({stats.rejected_overload} overload, "
             f"{stats.rejected_deadline} deadline)"
         )
-    if delta is not None:
-        s = session.stats
-        print(
-            f"  delta matching:     {s.delta_patches} patches, "
-            f"{s.delta_rebuilds} rebuilds"
-        )
-        print(
-            f"  plan refreshes:     {s.plans_refreshed} "
-            f"({s.plans_spliced} spliced, "
-            f"{s.plans_refreshed - s.plans_spliced} re-lowered)"
-        )
     serve_fps = stats.fps if stats.requests else 0.0
     print(f"  serve throughput:   {serve_fps:10.2f} frames/s")
     _obs_teardown(args, tracer, endpoint)
     if not args.no_baseline:
-        baseline_session = InferenceSession(backend=backend, delta=delta)
+        baseline_session = InferenceSession(backend=backend)
         baseline_session.warm(scene[0])
         start = time.perf_counter()
         baseline = [baseline_session.run(frame) for frame in requests]
@@ -548,7 +503,6 @@ def run_stream(argv: List[str]) -> int:
     if args.frames <= 0:
         parser.error("--frames must be positive")
     backend = _resolve_backend(parser, args.backend)
-    delta = _resolve_delta(parser, args.delta)
     base_cloud = make_shapenet_like_cloud(seed=args.seed, n_points=args.points)
     if args.scene == "drifting":
         if not 0.0 <= args.churn <= 1.0:
@@ -567,7 +521,7 @@ def run_stream(argv: List[str]) -> int:
             noise_sigma=args.noise,
             seed=args.seed,
         )
-    session = InferenceSession(backend=backend, delta=delta)
+    session = InferenceSession(backend=backend)
     runner = StreamingRunner(
         session=session,
         out_channels=args.out_channels,
@@ -582,8 +536,6 @@ def run_stream(argv: List[str]) -> int:
     )
     for frame in stats.frames:
         rulebook = "hit" if frame.rulebook_hits else "miss"
-        if frame.rulebook_patches:
-            rulebook = "patch"
         if args.detailed:
             # Cycle-accurate mode performs matching inside the simulated
             # SDMU pipeline; the software rulebook cache is not on that
@@ -601,17 +553,6 @@ def run_stream(argv: List[str]) -> int:
         hit_line = (
             f"rulebook hit rate:    {stats.rulebook_hit_rate:10.2%} "
             f"({stats.rulebook_hits} hits, {stats.rulebook_misses} misses)"
-        )
-    if delta is not None and not args.detailed:
-        session_stats = session.stats
-        hit_line += (
-            f"\ndelta matching:       {session_stats.delta_patches} patches, "
-            f"{session_stats.delta_rebuilds} rebuilds "
-            f"(threshold {session.delta_threshold:.2f})"
-            f"\nplan refreshes:       {session_stats.plans_refreshed} "
-            f"({session_stats.plans_spliced} spliced, "
-            f"{session_stats.plans_refreshed - session_stats.plans_spliced} "
-            "re-lowered)"
         )
     print(
         f"sustained fps:        {stats.fps:10.1f}\n"

@@ -17,20 +17,13 @@ every session precision.  Fanning ``run_batch`` digest groups out to
 warm worker sessions is the TCP cluster tier's job
 (:mod:`repro.runtime.cluster`, backend ``remote``).
 
-For nearly-static streams, :mod:`repro.engine.delta` upgrades the
-digest-keyed submanifold cache to incremental patching: a digest miss
-whose coordinate set is within a churn threshold of a recent entry
-splices the cached rulebook (bit-identically to from-scratch matching)
-instead of rebuilding it, making warm-stream matching cost proportional
-to the per-frame churn rather than the scene size.
-
 :mod:`repro.engine.mapping` adds the mapping-ops subsystem for the
 point-based network family: vectorized sorting-based kNN, ball query,
 farthest-point sampling, and grouping kernels (bit-identical to their
 brute-force references), with :mod:`repro.engine.mapping_delta`
 providing the digest-keyed :class:`MappingCache` and the delta-splicing
 :class:`DeltaMappingCache` that patches cached neighbor tables under
-small coordinate churn.  Sessions surface the subsystem through
+small coordinate churn (the diff is :mod:`repro.engine.delta`).  Sessions surface the subsystem through
 :meth:`repro.engine.session.InferenceSession.map` and serve
 ``uses_mapping_ops`` networks end to end.
 """
@@ -49,10 +42,7 @@ from repro.engine.backend import (
 from repro.engine.delta import (
     DEFAULT_DELTA_THRESHOLD,
     CoordinateDelta,
-    DeltaCacheStats,
-    DeltaRulebookCache,
     coordinate_delta,
-    patch_submanifold_rulebook,
 )
 from repro.engine.mapping import (
     MappingResult,
@@ -107,9 +97,6 @@ __all__ = [
     "available_backends",
     "CoordinateDelta",
     "coordinate_delta",
-    "patch_submanifold_rulebook",
-    "DeltaRulebookCache",
-    "DeltaCacheStats",
     "DEFAULT_DELTA_THRESHOLD",
     "MappingResult",
     "MappingStats",

@@ -153,14 +153,6 @@ class ExecutionBackend:
         self._plans: "OrderedDict[int, Tuple[Rulebook, ExecPlan]]" = (
             OrderedDict()
         )
-        #: Patched rulebooks whose prepared state was refreshed via
-        #: :meth:`refresh` (the delta engine's plan-invalidation hook).
-        self.plans_refreshed = 0
-        #: Of :attr:`plans_refreshed`, how many were served by splicing
-        #: the delta into the cached plan instead of re-lowering the
-        #: patched rulebook from scratch (see
-        #: :meth:`ScipySparseBackend.refresh`).
-        self.plans_spliced = 0
 
     # ------------------------------------------------------------------
     # Plan preparation
@@ -187,25 +179,6 @@ class ExecutionBackend:
         self._plans.move_to_end(key)
         while len(self._plans) > self.plan_capacity:
             self._plans.popitem(last=False)
-
-    def refresh(self, old_rulebook: Rulebook, new_rulebook: Rulebook, delta) -> None:
-        """Plan-invalidation hook of the incremental delta engine.
-
-        Called by :class:`repro.engine.delta.DeltaRulebookCache` after it
-        patched ``old_rulebook`` into ``new_rulebook`` (``delta`` is the
-        :class:`repro.engine.delta.CoordinateDelta` that drove the
-        patch).  The base implementation eagerly prepares the patched
-        rulebook, so the warm path never pays a cold :meth:`prepare` on
-        its next execute; the superseded plan stays in the LRU memo
-        (its digest may still recur in an alternating stream) and ages
-        out normally.  Backends can override this to carry warm state of
-        the old plan over — :class:`ScipySparseBackend` keeps the old
-        plan's per-dtype operator casts, and counts such refreshes in
-        :attr:`plans_spliced` (always a subset of
-        :attr:`plans_refreshed`).
-        """
-        self.plan_for(new_rulebook)
-        self.plans_refreshed += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -378,41 +351,6 @@ class ScipySparseBackend(ExecutionBackend):
         super().__init__()
         self._sparse = _scipy_sparse
         self._fallback = NumpyFusedBackend() if self._sparse is None else None
-        # Splice scratch, grown geometrically and sliced per refresh.
-        # ``_unit_data`` (per-dtype unit entries) and ``_unit_indptr``
-        # (the 0..n ramp) are value-immutable by construction, so slices
-        # of them are shared freely between refreshed plans and their
-        # dtype casts; ``_row_scratch`` is only read during the
-        # csc -> csr conversion and reused by the next refresh.
-        self._unit_data: Dict[str, np.ndarray] = {}
-        self._unit_indptr = np.zeros(0, dtype=np.int32)
-        self._row_scratch = np.zeros(0, dtype=np.int32)
-
-    def _unit_entries(self, total: int, dtype) -> np.ndarray:
-        """``total`` unit entries of ``dtype`` — a slice of a shared buffer."""
-        key = np.dtype(dtype).str
-        buffer = self._unit_data.get(key)
-        if buffer is None or len(buffer) < total:
-            capacity = max(total, 2 * (0 if buffer is None else len(buffer)))
-            buffer = np.ones(capacity, dtype=dtype)
-            self._unit_data[key] = buffer
-        return buffer[:total]
-
-    def _splice_buffers(
-        self, total: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ones, 0..total ramp, row scratch)`` slices of grown buffers."""
-        if len(self._unit_indptr) < total + 1:
-            capacity = max(total + 1, 2 * len(self._unit_indptr))
-            self._unit_indptr = np.arange(capacity, dtype=np.int32)
-        if len(self._row_scratch) < total:
-            capacity = max(total, 2 * len(self._row_scratch))
-            self._row_scratch = np.empty(capacity, dtype=np.int32)
-        return (
-            self._unit_entries(total, np.float64),
-            self._unit_indptr[: total + 1],
-            self._row_scratch[:total],
-        )
 
     @property
     def degraded(self) -> bool:
@@ -449,25 +387,25 @@ class ScipySparseBackend(ExecutionBackend):
     def _lower_operators(self, plan_gs, num_inputs, num_outputs):
         """Canonical CSR lowering of a gather/scatter plan's flat arrays.
 
-        Both the cold :meth:`prepare` and the delta splice of
-        :meth:`refresh` lower through here, so a cold-prepared plan and
-        a spliced plan for the same rulebook hold array-for-array
-        identical operators (asserted in the test suite).  The gather
-        assembles directly from the offset-major ``in_rows``; the
+        The gather assembles directly from the offset-major ``in_rows``; the
         scatter assembles through its trivial CSC form — one unit entry
         per column, at the match's output row, columns ascending in
         offset-major order — converted to sorted CSR by scipy's
         ``tocsr``, skipping the COO round-trip and the per-row index
         sort.
 
-        Returns ``None`` when the int32 index scratch cannot address
-        ``total`` matches — callers fall back to
+        Returns ``None`` when int32 indices cannot address ``total``
+        matches — callers fall back to
         :meth:`_lower_operators_coo`.
         """
         total = plan_gs.total_matches
         if total == 0 or total + 1 > np.iinfo(np.int32).max:
             return None
-        ones, unit_indptr, rows32 = self._splice_buffers(total)
+        # The unit entries and the 0..total ramp are never written, so
+        # both operators share them.
+        ones = np.ones(total, dtype=np.float64)
+        unit_indptr = np.arange(total + 1, dtype=np.int32)
+        rows32 = np.empty(total, dtype=np.int32)
         position = 0
         for k in plan_gs.active_offsets:
             col = plan_gs.out_rows[k]
@@ -505,78 +443,6 @@ class ScipySparseBackend(ExecutionBackend):
         )
         scatter.sort_indices()  # offset-major accumulation order
         return gather, scatter
-
-    def refresh(self, old_rulebook, new_rulebook, delta) -> None:
-        """Lower the new plan and carry the old plan's warm casts over.
-
-        When this backend holds a warm :class:`CsrExecPlan` for
-        ``old_rulebook``, the plan of ``new_rulebook`` is lowered from
-        its pre-seeded :class:`~repro.nn.rulebook.GatherScatterPlan`
-        through :meth:`_lower_operators` — the lowering a cold
-        :meth:`prepare` uses — and every per-dtype operator cast the old
-        plan had materialized is rebuilt over the new index arrays, so
-        the serving loop does not re-materialize them on its next
-        execute.  The result is bit-identical to a cold :meth:`prepare`
-        of the new rulebook (asserted per precision in the test suite)
-        and costs about the same as eager re-lowering
-        (``results/refresh_speedup.txt``).  Falls back to the eager base
-        behaviour when there is nothing to carry over (degraded mode, no
-        warm old plan, no pre-seeded plan, or an empty rulebook).
-        """
-        spliced = None if self.degraded else self._try_splice(
-            old_rulebook, new_rulebook
-        )
-        if spliced is None:
-            super().refresh(old_rulebook, new_rulebook, delta)
-            return
-        self._store_plan(new_rulebook, spliced)
-        self.plans_refreshed += 1
-        self.plans_spliced += 1
-
-    def _try_splice(self, old_rulebook, new_rulebook):
-        """The spliced :class:`CsrExecPlan`, or ``None`` to re-lower."""
-        plan_gs = new_rulebook._plan
-        if plan_gs is None:
-            return None  # no pre-seeded plan arrays to lower from
-        cached = self._plans.get(id(old_rulebook))
-        if cached is None or cached[0] is not old_rulebook:
-            return None  # old plan not warm: nothing to refresh
-        old_plan = cached[1]
-        if not isinstance(old_plan, CsrExecPlan) or old_plan.scatter is None:
-            return None  # degraded-era or empty plan
-        total = plan_gs.total_matches
-        if total == 0:
-            return None  # trivial: eager re-lowering is already cheap
-        # The canonical lowering shared with prepare(): spliced and
-        # cold-prepared plans come out array-for-array identical.
-        operators = self._lower_operators(
-            plan_gs, new_rulebook.num_inputs, new_rulebook.num_outputs
-        )
-        if operators is None:
-            return None  # beyond the int32 scratch: re-lower eagerly
-        gather, scatter = operators
-        plan = CsrExecPlan(
-            backend=self.name,
-            total_matches=total,
-            segment_starts=plan_gs.segment_starts,
-            active_offsets=tuple(plan_gs.active_offsets),
-            gather=gather,
-            scatter=scatter,
-        )
-        # Carry the old plan's warmed per-dtype casts over, rebuilding
-        # each over the new index arrays with shared unit-entry buffers
-        # (the serving loop re-materializes them every frame otherwise).
-        for key in old_plan.casts:
-            dtype = np.dtype(key)
-            if dtype == gather.dtype:
-                plan.operators(dtype)  # base pair, no data rebuild
-                continue
-            data = self._unit_entries(total, dtype)
-            plan.casts[key] = (
-                gather._with_data(data, copy=False),
-                scatter._with_data(data, copy=False),
-            )
-        return plan
 
     def execute(self, rulebook, in_features, weights, num_outputs, stats=None):
         if self.degraded:

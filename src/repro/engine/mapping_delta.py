@@ -5,9 +5,7 @@
 digest of the operand arrays plus the operator parameters, held in an
 LRU of bounded capacity, with hit/miss counters the session surfaces.
 
-:class:`DeltaMappingCache` upgrades misses the same way
-:class:`repro.engine.delta.DeltaRulebookCache` upgrades rulebook misses:
-when a self-query kNN or ball-query lookup misses but the new coordinate
+:class:`DeltaMappingCache` upgrades misses: when a self-query kNN or ball-query lookup misses but the new coordinate
 set is within a churn threshold of a recently seen one (measured by
 :func:`repro.engine.delta.coordinate_delta` over packed keys), the cached
 neighbor table is *spliced* instead of rebuilt — stable rows are index
@@ -213,8 +211,7 @@ def _build(
 class DeltaMappingCache(MappingCache):
     """A :class:`MappingCache` that splices near-miss neighbor tables.
 
-    Mirrors :class:`repro.engine.delta.DeltaRulebookCache`: remembered
-    coordinate sets are diffed against incoming ones (most recent first,
+    Remembered coordinate sets are diffed against incoming ones (most recent first,
     ``max_candidates`` deep, with a cheap size pre-filter), and a churn
     ratio at or below ``threshold`` routes the miss through the patch
     path.  Only self-query kNN / ball-query lookups over canonically

@@ -66,7 +66,7 @@ from repro.arch.tiling import TileGrid
 from repro.engine.backend import ExecutionBackend, GroupTask, get_backend
 from repro.arch.mapping_model import MappingCostModel, MappingOpEstimate
 from repro.engine import mapping as mapping_ops
-from repro.engine.delta import DEFAULT_DELTA_THRESHOLD, DeltaRulebookCache
+from repro.engine.delta import DEFAULT_DELTA_THRESHOLD
 from repro.engine.mapping import MappingResult
 from repro.engine.mapping_delta import DeltaMappingCache, MappingCache
 from repro.nn.functional import ApplyStats, normalize_weights
@@ -128,17 +128,11 @@ class SessionStats:
     gemm_seconds: float
     scatter_seconds: float
     simulations: int = 0
-    #: Digest misses served by incremental patching / from-scratch
-    #: matching (only populated when the session runs a
-    #: :class:`repro.engine.delta.DeltaRulebookCache`; with delta
-    #: matching active, ``matching_passes`` counts both).
+    #: Always 0: rulebooks are never patched and backend plans never
+    #: refreshed (every rulebook miss is a cold build).  Kept for
+    #: readers that still subtract them between frames.
     delta_patches: int = 0
     delta_rebuilds: int = 0
-    #: Backend plan-refresh accounting: every patched rulebook the
-    #: backend re-prepared (``plans_refreshed``), and the subset it
-    #: served by splicing the delta into the cached plan instead of
-    #: re-lowering from scratch (``plans_spliced`` — nonzero only for
-    #: backends with an incremental ``refresh``, e.g. ``scipy``).
     plans_refreshed: int = 0
     plans_spliced: int = 0
     #: Mapping-ops cache accounting (kNN / ball-query / FPS lookups
@@ -481,21 +475,21 @@ class InferenceSession:
         to ``numpy`` for all precisions, so switching backends never
         changes results — only how (and where) they are computed.
     delta:
-        Incremental rulebook matching for nearly-static streams (see
-        :mod:`repro.engine.delta`).  ``None`` (default) defers to
-        ``accelerator_config.delta_threshold`` (0 keeps the digest-only
-        cache); ``True`` enables patching at the config threshold (or
-        the engine default of 25% churn); a float in ``(0, 1]`` is the
-        churn-ratio threshold itself.  Patched rulebooks are
-        bit-identical to from-scratch matching, so enabling delta never
-        changes results — only how much matching work a digest miss
-        costs.
+        Delta splicing of cached neighbor tables for nearly-static
+        point streams: selects the default ``mapping_cache``.  ``None``
+        (default) defers to ``accelerator_config.delta_threshold`` (0
+        keeps the digest-only cache); ``True`` enables splicing at the
+        config threshold (or the engine default of 25% churn); a float
+        in ``(0, 1]`` is the churn-ratio threshold itself.  Spliced
+        tables are bit-identical to cold searches, so enabling delta
+        never changes results.  Rulebooks are always digest-cached and
+        built cold on a miss.
     mapping_cache:
         The neighbor-table cache behind :meth:`map` and point-based
-        forwards.  ``None`` (default) follows the session's delta
-        posture: a :class:`repro.engine.mapping_delta.DeltaMappingCache`
-        at the active delta threshold when delta matching is on, else a
-        plain digest-keyed :class:`MappingCache`.
+        forwards.  ``None`` (default) follows ``delta``: a
+        :class:`repro.engine.mapping_delta.DeltaMappingCache` at the
+        delta threshold when delta is on, else a plain digest-keyed
+        :class:`MappingCache`.
     registry:
         The :class:`repro.obs.metrics.MetricRegistry` receiving the
         session's telemetry (cache hit/miss counters, per-stage and
@@ -535,7 +529,7 @@ class InferenceSession:
         self.overheads = (
             overheads if overheads is not None else SystemOverheadModel()
         )
-        rulebook_cache = self._resolve_delta_cache(delta, rulebook_cache)
+        self.delta_threshold = self._resolve_delta_threshold(delta)
         self.rulebook_cache = (
             rulebook_cache if rulebook_cache is not None else RulebookCache()
         )
@@ -552,18 +546,10 @@ class InferenceSession:
                 f"got {type(backend).__name__}"
             )
         self.backend = backend
-        if isinstance(self.rulebook_cache, DeltaRulebookCache):
-            # Plan-invalidation hook: patched rulebooks refresh the
-            # backend's prepared artifacts instead of discarding them.
-            self.rulebook_cache.register_listener(self.backend)
         if mapping_cache is None:
-            # Mapping lookups follow the session's delta posture: delta
-            # matching on the rulebook side implies delta splicing of
-            # neighbor tables at the same churn threshold.
-            threshold = self.delta_threshold
             mapping_cache = (
-                DeltaMappingCache(threshold=threshold)
-                if threshold > 0.0
+                DeltaMappingCache(threshold=self.delta_threshold)
+                if self.delta_threshold > 0.0
                 else MappingCache()
             )
         if not isinstance(mapping_cache, MappingCache):
@@ -579,12 +565,6 @@ class InferenceSession:
         self._batches_run = 0
         self._estimates = 0
         self._simulations = 0
-        # The backend's refresh counters are cumulative over its own
-        # lifetime (it may predate this session or be shared); baselines
-        # make SessionStats report this session's era, and reset with
-        # reset_stats like every other counter.
-        self._plans_refreshed_base = getattr(backend, "plans_refreshed", 0)
-        self._plans_spliced_base = getattr(backend, "plans_spliced", 0)
         # Memoized parameter views: id(param) -> (param, derived arrays).
         # The param object is pinned in the value to keep ids stable.
         self._param_casts: Dict[int, Tuple[Parameter, np.ndarray]] = {}
@@ -632,11 +612,6 @@ class InferenceSession:
             "Delta-cache digest misses served by patching vs rebuilt.",
             labels=("cache", "event"),
         )
-        self._m_plan_refreshes = reg.counter(
-            "repro_session_plan_refreshes_total",
-            "Backend plan refreshes: spliced in place vs re-lowered.",
-            labels=("outcome",),
-        )
         self._m_dispatch = reg.histogram(
             "repro_session_dispatch_seconds",
             "End-to-end session dispatch latency by entry point.",
@@ -658,15 +633,8 @@ class InferenceSession:
         lookups.sync_to(snap.mapping_hits, cache="mapping", result="hit")
         lookups.sync_to(snap.mapping_misses, cache="mapping", result="miss")
         delta = self._m_delta_events
-        delta.sync_to(snap.delta_patches, cache="rulebook", event="patch")
-        delta.sync_to(snap.delta_rebuilds, cache="rulebook", event="rebuild")
         delta.sync_to(snap.mapping_patches, cache="mapping", event="patch")
         delta.sync_to(snap.mapping_rebuilds, cache="mapping", event="rebuild")
-        refreshes = self._m_plan_refreshes
-        refreshes.sync_to(snap.plans_spliced, outcome="spliced")
-        refreshes.sync_to(
-            snap.plans_refreshed - snap.plans_spliced, outcome="relowered"
-        )
         self._m_frames.sync_to(snap.frames_run)
         self._m_batches.sync_to(snap.batches_run)
         self._m_estimates.sync_to(snap.estimates)
@@ -697,63 +665,30 @@ class InferenceSession:
             stats.scatter_seconds,
         )
 
-    def _resolve_delta_cache(
-        self, delta: Optional[object], rulebook_cache: Optional[RulebookCache]
-    ) -> Optional[RulebookCache]:
-        """Apply the ``delta=`` knob to the session's rulebook cache.
+    def _resolve_delta_threshold(self, delta: Optional[object]) -> float:
+        """The churn-ratio threshold the ``delta=`` knob selects.
 
         ``None`` defers to ``accelerator_config.delta_threshold`` (0
         disables), ``True``/``False`` toggle with the config threshold
         (or :data:`repro.engine.delta.DEFAULT_DELTA_THRESHOLD`), and a
-        float is the churn-ratio threshold itself.  Enabling delta
-        matching constructs a :class:`DeltaRulebookCache`; an injected
-        plain cache conflicts and is rejected rather than silently
-        wrapped (the caller shares it with other sessions).
+        float is the threshold itself.
         """
         if delta is None:
-            threshold = self.accelerator_config.delta_threshold
-        elif isinstance(delta, bool):
-            if delta:
-                threshold = (
-                    self.accelerator_config.delta_threshold
-                    or DEFAULT_DELTA_THRESHOLD
-                )
-            else:
-                threshold = 0.0
-                if isinstance(rulebook_cache, DeltaRulebookCache):
-                    raise ValueError(
-                        "delta=False conflicts with the DeltaRulebookCache "
-                        "passed as rulebook_cache"
-                    )
-        else:
-            threshold = float(delta)
-            if not 0.0 < threshold <= 1.0:
-                raise ValueError(
-                    f"delta threshold must be in (0, 1], got {delta!r}"
-                )
-        if threshold <= 0.0:
-            return rulebook_cache
-        if rulebook_cache is None:
-            return DeltaRulebookCache(threshold=threshold)
-        if not isinstance(rulebook_cache, DeltaRulebookCache):
-            raise ValueError(
-                "delta matching requires a DeltaRulebookCache; pass one as "
-                "rulebook_cache (or omit it to get a fresh one) instead of "
-                f"a plain {type(rulebook_cache).__name__}"
+            return float(self.accelerator_config.delta_threshold)
+        if isinstance(delta, bool):
+            if not delta:
+                return 0.0
+            return float(
+                self.accelerator_config.delta_threshold or DEFAULT_DELTA_THRESHOLD
             )
-        return rulebook_cache
+        threshold = float(delta)
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"delta threshold must be in (0, 1], got {delta!r}")
+        return threshold
 
     # ------------------------------------------------------------------
     # Owned components
     # ------------------------------------------------------------------
-    @property
-    def delta_threshold(self) -> float:
-        """Active churn-ratio threshold (0.0 when delta matching is off)."""
-        cache = self.rulebook_cache
-        if isinstance(cache, DeltaRulebookCache):
-            return cache.threshold
-        return 0.0
-
     @property
     def net(self) -> SSUNet:
         """The served network (constructed lazily from the config)."""
@@ -795,10 +730,6 @@ class InferenceSession:
 
     def _snapshot(self) -> SessionStats:
         cache = self.rulebook_cache
-        delta_patches = delta_rebuilds = 0
-        if isinstance(cache, DeltaRulebookCache):
-            delta_patches = cache.patches
-            delta_rebuilds = cache.rebuilds
         return SessionStats(
             frames_run=self._frames_run,
             batches_run=self._batches_run,
@@ -815,12 +746,6 @@ class InferenceSession:
             gemm_seconds=self.apply_stats.gemm_seconds,
             scatter_seconds=self.apply_stats.scatter_seconds,
             simulations=self._simulations,
-            delta_patches=delta_patches,
-            delta_rebuilds=delta_rebuilds,
-            plans_refreshed=getattr(self.backend, "plans_refreshed", 0)
-            - self._plans_refreshed_base,
-            plans_spliced=getattr(self.backend, "plans_spliced", 0)
-            - self._plans_spliced_base,
             mapping_hits=self.mapping_cache.hits,
             mapping_misses=self.mapping_cache.misses,
             mapping_patches=getattr(self.mapping_cache, "patches", 0),
@@ -836,8 +761,6 @@ class InferenceSession:
         self._batches_run = 0
         self._estimates = 0
         self._simulations = 0
-        self._plans_refreshed_base = getattr(self.backend, "plans_refreshed", 0)
-        self._plans_spliced_base = getattr(self.backend, "plans_spliced", 0)
         if self.registry.enabled:
             # Registry counters mirror the session era: a reset re-syncs
             # them to the zeroed snapshot rather than leaving stale totals.

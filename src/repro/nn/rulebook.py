@@ -7,9 +7,10 @@ each nonzero activation is located and its nonzero neighbors are searched;
 each pair corresponds to one *match* ``(A_a, W_b)_c`` in Fig. 5.
 
 Like the paper's SDMU, matching is one regular stream over sorted,
-encoded coordinates: each builder forms the keys of all ``K^3`` offsets
-as one block and probes the sorted packed keys once per scale.  The
-per-offset builders the engine started from are kept as
+encoded coordinates.  The submanifold builder walks runs of consecutive
+z keys and mirrors the lower half of the offsets onto the upper half;
+the strided builder sorts the cell keys of all ``K^3`` offsets as one
+block.  The per-offset builders the engine started from are kept as
 ``*_reference`` correctness oracles.
 """
 
@@ -176,7 +177,7 @@ class Rulebook:
         ``(n_k, 2)`` transposed view of its columns, and the
         :class:`GatherScatterPlan` arrays are contiguous row slices, array
         for array what a lazy :meth:`plan` would extract from ``rules``.
-        Every builder and patcher constructs through here.
+        Every builder constructs through here.
         """
         bounds = segment_starts.tolist()
         spans = list(zip(bounds[:-1], bounds[1:]))
@@ -228,31 +229,20 @@ class Rulebook:
         return 2 * self.effective_macs(in_channels, out_channels)
 
 
-def probe_keys(
-    sorted_keys: np.ndarray, query_keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(positions, rows)`` of the query keys present in ``sorted_keys``.
+def lookup_rows(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
+    """Row index of each query key in ``sorted_keys`` or -1 when absent.
 
     ``sorted_keys`` must be ascending and duplicate-free (the packed-key
-    order of a canonical coordinate array).  One ``searchsorted`` over
-    all queries; only the hits come back — their ascending positions in
-    ``query_keys`` and the matching rows of ``sorted_keys``.  The one
-    sorted-membership probe shared by the builders here and the delta
-    engine (:mod:`repro.engine.delta`).
+    order of a canonical coordinate array); one ``searchsorted`` covers
+    all queries.
     """
+    rows = np.full(len(query_keys), -1, dtype=np.int64)
     if len(sorted_keys) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return rows
     idx = np.searchsorted(sorted_keys, query_keys)
     np.minimum(idx, len(sorted_keys) - 1, out=idx)
-    positions = np.flatnonzero(sorted_keys[idx] == query_keys)
-    return positions, idx[positions]
-
-
-def lookup_rows(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
-    """Row index of each query key in ``sorted_keys`` or -1 when absent."""
-    rows = np.full(len(query_keys), -1, dtype=np.int64)
-    positions, found = probe_keys(sorted_keys, query_keys)
-    rows[positions] = found
+    hits = sorted_keys[idx] == query_keys
+    rows[hits] = idx[hits]
     return rows
 
 
@@ -275,6 +265,14 @@ def _centered_steps(kernel_size: int) -> Tuple[np.ndarray, np.ndarray]:
     offsets.setflags(write=False)
     steps.setflags(write=False)
     return offsets, steps
+
+
+@lru_cache(maxsize=8)
+def _corner_offsets(kernel_size: int) -> np.ndarray:
+    """Read-only ``kernel_offsets(kernel_size, center=False)``."""
+    offsets = kernel_offsets(kernel_size, center=False)
+    offsets.setflags(write=False)
+    return offsets
 
 
 def neighbor_key_steps(
@@ -341,25 +339,80 @@ def build_submanifold_rulebook(
 
     The output sites equal the input sites.  For output site ``p`` and
     centered offset ``d``, an input contribution exists when ``p + d`` is
-    active: ``out[p] += W[d] @ in[p + d]``.  All ``K^3`` neighbour keys
-    are formed as one ``(K^3, N)`` block (:func:`neighbor_key_steps`) and
-    probed with one ``searchsorted``; the hits, read offset-major, are
-    the rulebook's pair array.
+    active: ``out[p] += W[d] @ in[p + d]``.  Two facts of the sorted
+    packed keys cut the probing to a few column walks:
+
+    * **Mirror.**  Offsets ``k`` and ``K^3 - 1 - k`` are ``d`` and
+      ``-d``: they match the same pairs with the rows swapped, and the
+      swapped pairs stay ascending in their output row because
+      ``key(p + d)`` is monotone in ``key(p)``.  Only the offsets before
+      the centre are matched; the centre is the identity.
+    * **z-column runs.**  z is the lowest key field and the padding of
+      :func:`neighbor_key_steps` keeps ``z +- K // 2`` inside it, so the
+      ``K`` neighbours ``(dx, dy, -K//2 .. K//2)`` of a site are one
+      interval of consecutive keys.  Per lower ``(dx, dy)`` column one
+      ``searchsorted`` finds where the interval starts in the sorted
+      keys and ``K`` elementwise steps walk it; the centre column's
+      ``dz < 0`` neighbours are the keys just before the site's own.
+
+    The pair array is the lower hits read offset-major, then the
+    identity, then the lower segments in reverse order with the rows
+    swapped.
     """
     offsets, steps = neighbor_key_steps(tensor.shape, kernel_size)
     # SparseTensor3D stores coords lexicographically sorted, so the packed
     # keys are ascending and searchsorted applies directly.
     keys = pack_coords(tensor.coords)
     num = len(keys)
-    slots, hits = probe_keys(keys, (keys[None, :] + steps[:, None]).ravel())
-    pairs = np.empty((2, len(slots)), dtype=np.int64)
-    pairs[0] = hits
-    np.remainder(slots, max(num, 1), out=pairs[1])
+    k = int(kernel_size)
+    half = len(offsets) // 2
+    columns = half // k
+    run = columns * k
+    # Lower half, offset-major: whether output p's neighbour under
+    # offset j is active, and its row.
+    hit = np.empty((half, num), dtype=bool)
+    rows = np.empty((half, num), dtype=np.int64)
+    last = max(num - 1, 0)
+    run_hit = hit[:run].reshape(columns, k, num)
+    run_rows = rows[:run].reshape(columns, k, num)
+    # pos is searchsorted(keys, target) throughout: it starts there, and
+    # moves past a key exactly when the key equals the current target.
+    target = keys[None, :] + steps[:run:k, None]
+    pos = np.searchsorted(keys, target)
+    for dz in range(k):
+        np.minimum(pos, last, out=run_rows[:, dz])
+        np.equal(keys[run_rows[:, dz]], target, out=run_hit[:, dz])
+        pos += run_hit[:, dz]
+        target += 1
+    # Centre column, dz = -1, -2, ...: pos is the last row below the key.
+    pos = np.arange(-1, num - 1, dtype=np.int64)
+    for row in range(half - 1, run - 1, -1):
+        np.maximum(pos, 0, out=rows[row])
+        np.equal(keys[rows[row]], keys - (half - row), out=hit[row])
+        pos -= hit[row]
+    slots = np.flatnonzero(hit)
+    low = len(slots)
+    pairs = np.empty((2, 2 * low + num), dtype=np.int64)
+    np.take(rows, slots, out=pairs[0, :low])
+    np.remainder(slots, max(num, 1), out=pairs[1, :low])
+    pairs[:, low : low + num] = np.arange(num, dtype=np.int64)
+    lower = _segment_starts(slots, half, num)
+    segment_starts = np.empty(len(offsets) + 1, dtype=np.int64)
+    segment_starts[: half + 1] = lower
+    np.subtract(2 * low + num, lower[::-1], out=segment_starts[half + 1 :])
+    bounds = lower.tolist()
+    upper = segment_starts.tolist()
+    # per-offset loop (K^3 // 2 slice copies): offset K^3 - 1 - j is
+    # offset j with its rows swapped
+    for j in range(half):
+        start, stop = bounds[j], bounds[j + 1]
+        dest = upper[len(offsets) - 1 - j]
+        pairs[:, dest : dest + stop - start] = pairs[::-1, start:stop]
     return Rulebook.from_flat(
         kernel_size=kernel_size,
         offsets=offsets,
         pairs=pairs,
-        segment_starts=_segment_starts(slots, len(offsets), num),
+        segment_starts=segment_starts,
         num_inputs=num,
         num_outputs=num,
     )
@@ -380,7 +433,7 @@ def build_sparse_conv_rulebook(
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
     _check_grid(tensor.shape, 0)
-    offsets = kernel_offsets(kernel_size, center=False)
+    offsets = _corner_offsets(int(kernel_size))
     num = len(tensor.coords)
     slots, cell_keys = strided_cells(tensor.coords, kernel_size, stride)
     out_keys, out_rows = np.unique(cell_keys, return_inverse=True)

@@ -1,7 +1,7 @@
 """Per-request stage timelines: spans, traces, and a bounded tracer.
 
 A ``Trace`` is one request's (or one micro-batch's) timeline through
-the serving stack: queue-wait → execute (prepare/patch included) →
+the serving stack: queue-wait → execute (plan building included) →
 respond.  Each stage is a ``Span`` with monotonic start/end offsets
 relative to the trace origin, so a dumped trace reads as a waterfall.
 

@@ -449,7 +449,7 @@ class SessionServer:
 
         The timeline (queue-wait → execute → respond) is laid out on the
         shared monotonic clock, origin at the earliest member's
-        enqueue.  Prepare/patch work happens *inside* the
+        enqueue.  Plan work happens *inside* the
         execute span (the session's own ``repro_session_*`` histograms
         carry that split); its cache activity is attached as span
         metadata from the session-stats delta across the batch.
@@ -477,8 +477,6 @@ class SessionServer:
             exec_end_t - origin,
             run_batch_s=execute_s,
             plan_misses=post.plan_misses - pre.plan_misses,
-            delta_patches=post.delta_patches - pre.delta_patches,
-            plans_spliced=post.plans_spliced - pre.plans_spliced,
         )
         trace.add_span("respond", exec_end_t - origin, respond_t - origin)
 

@@ -77,17 +77,17 @@ class RotatingSceneSource:
 class DriftingSceneSource:
     """Deterministic frame source: a nearly-static scene with voxel churn.
 
-    Models the workloads the incremental delta engine targets (SLAM,
-    odometry, a surveillance camera): the scene is static except for a
+    Models nearly-static workloads (SLAM, odometry, a surveillance
+    camera): the scene is static except for a
     small per-frame fraction of drifting measurements.  Each frame,
     ``churn * n_points`` randomly chosen points jump to the jittered
     neighborhood of other surface points (flickering returns, moving
     clutter), and the change is cumulative — the scene drifts instead of
     oscillating around frame 0.  The per-frame *voxel* churn therefore
     stays of the order of ``churn``, so consecutive frames are digest
-    misses but near-matches: exactly the regime where
-    :class:`repro.engine.delta.DeltaRulebookCache` patches instead of
-    rebuilding.
+    misses but near-matches: the regime where
+    :class:`repro.engine.mapping_delta.DeltaMappingCache` splices cached
+    neighbor tables instead of searching from scratch.
     """
 
     def __init__(
@@ -154,14 +154,6 @@ class FrameResult:
     effective_ops: int
     rulebook_hits: int = 0
     rulebook_misses: int = 0
-    #: Of this frame's ``rulebook_misses``, how many were served by
-    #: incremental patching (only nonzero with a delta-enabled session).
-    rulebook_patches: int = 0
-    #: Backend plans refreshed after this frame's patches, and the
-    #: subset spliced incrementally instead of re-lowered (nonzero only
-    #: for backends with an incremental ``refresh``, e.g. ``scipy``).
-    plan_refreshes: int = 0
-    plan_splices: int = 0
     matching_seconds: float = 0.0
     scatter_seconds: float = 0.0
 
@@ -244,18 +236,6 @@ class StreamStats:
         return sum(frame.rulebook_misses for frame in self.frames)
 
     @property
-    def rulebook_patches(self) -> int:
-        return sum(frame.rulebook_patches for frame in self.frames)
-
-    @property
-    def plan_refreshes(self) -> int:
-        return sum(frame.plan_refreshes for frame in self.frames)
-
-    @property
-    def plan_splices(self) -> int:
-        return sum(frame.plan_splices for frame in self.frames)
-
-    @property
     def rulebook_hit_rate(self) -> float:
         lookups = self.rulebook_hits + self.rulebook_misses
         if lookups == 0:
@@ -308,11 +288,6 @@ class StreamingRunner:
         Execution-backend registry name (or instance) for the private
         session built from the legacy keyword form; mutually exclusive
         with ``session=`` (the session already owns its backend).
-    delta:
-        Incremental-matching knob forwarded to the private session (see
-        ``InferenceSession(delta=)``): ``True`` or a churn-ratio
-        threshold enables rulebook patching for near-match frames.
-        Mutually exclusive with ``session=``.
     """
 
     def __init__(
@@ -327,7 +302,6 @@ class StreamingRunner:
         execute_reference: bool = False,
         session: Optional[InferenceSession] = None,
         backend=None,
-        delta=None,
     ) -> None:
         if session is None:
             session = InferenceSession(
@@ -335,18 +309,16 @@ class StreamingRunner:
                 overheads=overheads,
                 rulebook_cache=rulebook_cache,
                 backend=backend,
-                delta=delta,
             )
         elif (
             config is not None
             or overheads is not None
             or rulebook_cache is not None
             or backend is not None
-            or delta is not None
         ):
             raise ValueError(
                 "pass either session= or config/overheads/rulebook_cache/"
-                "backend/delta, not both — the session owns those components"
+                "backend, not both — the session owns those components"
             )
         self.session = session
         self.config = session.accelerator_config
@@ -394,10 +366,6 @@ class StreamingRunner:
             tensor = self._frame_tensor(cloud, rng)
             tiles = TileGrid(tensor, self.config.tile_shape)
             hits_before, misses_before = cache.hits, cache.misses
-            patches_before = getattr(cache, "patches", 0)
-            backend = session.backend
-            refreshes_before = getattr(backend, "plans_refreshed", 0)
-            splices_before = getattr(backend, "plans_spliced", 0)
             matching_seconds = 0.0
             scatter_seconds = 0.0
             if self.detailed:
@@ -454,12 +422,6 @@ class StreamingRunner:
                     effective_ops=ops,
                     rulebook_hits=cache.hits - hits_before,
                     rulebook_misses=cache.misses - misses_before,
-                    rulebook_patches=getattr(cache, "patches", 0)
-                    - patches_before,
-                    plan_refreshes=getattr(backend, "plans_refreshed", 0)
-                    - refreshes_before,
-                    plan_splices=getattr(backend, "plans_spliced", 0)
-                    - splices_before,
                     matching_seconds=matching_seconds,
                     scatter_seconds=scatter_seconds,
                 )

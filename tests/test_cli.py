@@ -106,34 +106,23 @@ def test_cli_backend_accepts_late_registered_backends(capsys):
     assert "streamed 2 frames" in capsys.readouterr().out
 
 
-def test_cli_stream_delta_on_drifting_scene(capsys):
+def test_cli_stream_drifting_scene(capsys):
     assert main(
         ["stream", "--frames", "4", "--resolution", "48", "--points", "2000",
-         "--scene", "drifting", "--churn", "0.01", "--delta"]
+         "--scene", "drifting", "--churn", "0.01"]
     ) == 0
     out = capsys.readouterr().out
     assert "drifting scene" in out
-    assert "delta matching:" in out
-    assert "plan refreshes:" in out
-    assert "rulebook=patch" in out
-
-
-def test_cli_stream_delta_reports_spliced_plans_on_scipy(capsys):
-    pytest.importorskip("scipy")
-    assert main(
-        ["stream", "--frames", "4", "--resolution", "48", "--points", "2000",
-         "--scene", "drifting", "--churn", "0.01", "--delta",
-         "--backend", "scipy"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "plan refreshes:" in out
-    spliced = int(out.split("plan refreshes:")[1].split("(")[1].split()[0])
-    assert spliced > 0  # the scipy backend splices patched plans
+    assert "rulebook=miss" in out
+    assert "patch" not in out
 
 
 def test_cli_stream_delta_threshold_validation():
+    # Rulebooks are never patched, so stream (like serve) takes no --delta.
     with pytest.raises(SystemExit):
         main(["stream", "--frames", "1", "--delta", "1.5"])
+    with pytest.raises(SystemExit):
+        main(["stream", "--frames", "1", "--delta"])
     with pytest.raises(SystemExit):
         main(["stream", "--frames", "1", "--scene", "drifting", "--churn", "2"])
 

@@ -544,174 +544,6 @@ def test_plan_memo_is_lru_bounded():
     assert len(backend._plans) == 0
 
 
-# ----------------------------------------------------------------------
-# Tentpole: ScipySparseBackend.refresh splices instead of re-lowering
-# ----------------------------------------------------------------------
-def _patched_pair(seed=80, nnz=150, remove=6, add=6, kernel=3):
-    from repro.engine import coordinate_delta, patch_submanifold_rulebook
-    from tests.test_engine_delta import churned
-
-    old = random_sparse_tensor(seed=seed, shape=(18, 18, 18), nnz=nnz)
-    new = churned(old, remove=remove, add=add, seed=seed + 1)
-    delta = coordinate_delta(old.coords, new.coords)
-    old_rulebook = build_submanifold_rulebook(old, kernel)
-    patched = patch_submanifold_rulebook(old_rulebook, delta, new.shape)
-    return delta, old_rulebook, patched
-
-
-def _assert_csr_plans_identical(got, want):
-    assert got.total_matches == want.total_matches
-    assert np.array_equal(got.segment_starts, want.segment_starts)
-    assert got.active_offsets == want.active_offsets
-    for name in ("gather", "scatter"):
-        mine, theirs = getattr(got, name), getattr(want, name)
-        assert mine.shape == theirs.shape
-        assert mine.indices.dtype == theirs.indices.dtype
-        assert np.array_equal(
-            np.asarray(mine.indices), np.asarray(theirs.indices)
-        )
-        assert np.array_equal(
-            np.asarray(mine.indptr), np.asarray(theirs.indptr)
-        )
-        assert mine.data.dtype == theirs.data.dtype
-        assert np.array_equal(mine.data, theirs.data)
-
-
-def test_scipy_refresh_splices_bit_identical_to_cold_prepare():
-    backend = ScipySparseBackend()
-    if backend.degraded:
-        pytest.skip("scipy not installed")
-    delta, old_rulebook, patched = _patched_pair()
-    old_plan = backend.plan_for(old_rulebook)
-    old_plan.operators(np.float32)
-    old_plan.operators(np.int64)
-    backend.refresh(old_rulebook, patched, delta)
-    assert backend.plans_refreshed == 1
-    assert backend.plans_spliced == 1
-    spliced = backend.plan_for(patched)  # memo hit: the spliced plan
-    assert isinstance(spliced, CsrExecPlan)
-    cold = ScipySparseBackend().prepare(patched)
-    _assert_csr_plans_identical(spliced, cold)
-    # Warmed per-dtype casts were carried over and match cold casts.
-    assert set(spliced.casts) >= {"<f4", "<i8"}
-    for dtype in (np.float64, np.float32, np.int64):
-        got_g, got_s = spliced.operators(dtype)
-        want_g, want_s = cold.operators(dtype)
-        assert got_g.dtype == want_g.dtype and got_s.dtype == want_s.dtype
-        assert np.array_equal(got_g.data, want_g.data)
-        assert np.array_equal(got_s.data, want_s.data)
-
-
-@pytest.mark.parametrize("kernel_size,stride", [(2, 2), (3, 2), (4, 2), (3, 1)])
-@pytest.mark.parametrize("seed", range(3))
-def test_scipy_refresh_splices_strided_geometries(kernel_size, stride, seed):
-    """Spliced CSR plans between cold-built strided rulebooks of every
-    geometry — including the overlapping kernel != stride class — equal
-    cold lowering bit for bit, and execute identically for
-    float64/float32/int, cold and warm."""
-    from repro.engine import coordinate_delta
-    from tests.test_engine_delta import churned
-
-    backend = ScipySparseBackend()
-    if backend.degraded:
-        pytest.skip("scipy not installed")
-    rng = np.random.default_rng(seed)
-    old = random_sparse_tensor(seed=seed + 90, shape=(18, 18, 18), nnz=130)
-    new = churned(
-        old,
-        remove=int(rng.integers(0, 14)),
-        add=int(rng.integers(0, 14)),
-        seed=seed + 95,
-    )
-    delta = coordinate_delta(old.coords, new.coords)
-    old_rulebook, _ = build_sparse_conv_rulebook(old, kernel_size, stride)
-    patched, out_coords = build_sparse_conv_rulebook(new, kernel_size, stride)
-    backend.plan_for(old_rulebook)
-    backend.refresh(old_rulebook, patched, delta)
-    assert backend.plans_spliced == 1
-    spliced = backend.plan_for(patched)
-    cold_backend = ScipySparseBackend()
-    _assert_csr_plans_identical(spliced, cold_backend.prepare(patched))
-    volume = kernel_size ** 3
-    rng = np.random.default_rng(seed + 7)
-    for dtype in ("float64", "float32", "int"):
-        if dtype == "int":
-            # Integer codes held as float64, as the int precision runs.
-            feats = rng.integers(-40, 40, (new.nnz, 3)).astype(np.float64)
-            weights = rng.integers(-3, 3, (volume, 3, 4)).astype(np.float64)
-        else:
-            feats = rng.standard_normal((new.nnz, 3)).astype(dtype)
-            weights = rng.standard_normal((volume, 3, 4)).astype(dtype)
-        for _ in range(2):  # cold then warm
-            got = backend.execute(patched, feats, weights, len(out_coords))
-            want = cold_backend.execute(
-                patched, feats, weights, len(out_coords)
-            )
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-        if dtype == "int":
-            exact = apply_rulebook(
-                patched, feats.astype(np.int64), weights.astype(np.int64),
-                len(out_coords),
-            )
-            assert np.array_equal(got, exact)
-
-
-def test_scipy_refresh_falls_back_to_eager_relowering():
-    backend = ScipySparseBackend()
-    if backend.degraded:
-        pytest.skip("scipy not installed")
-    delta, old_rulebook, patched = _patched_pair(seed=85)
-    # No warm plan for the old rulebook: nothing to splice from.
-    backend.refresh(old_rulebook, patched, delta)
-    assert backend.plans_refreshed == 1
-    assert backend.plans_spliced == 0
-    assert isinstance(backend.plan_for(patched), CsrExecPlan)
-
-
-def test_scipy_refresh_degraded_falls_back(monkeypatch):
-    monkeypatch.setattr(backend_mod, "_scipy_sparse", None)
-    backend = ScipySparseBackend()
-    delta, old_rulebook, patched = _patched_pair(seed=86)
-    backend.plan_for(old_rulebook)
-    backend.refresh(old_rulebook, patched, delta)
-    assert backend.plans_refreshed == 1
-    assert backend.plans_spliced == 0
-    assert isinstance(backend.plan_for(patched), FusedExecPlan)
-
-
-def test_session_delta_on_scipy_backend_splices_plans():
-    """Session-level wiring: a delta session on the scipy backend serves
-    drifting frames bit-identically to the numpy reference while its
-    backend splices (rather than re-lowers) the patched plans."""
-    from tests.test_engine_delta import churned
-
-    if ScipySparseBackend().degraded:
-        pytest.skip("scipy not installed")
-    frames = [frame(50, nnz=90)]
-    for step in range(3):
-        frames.append(churned(frames[-1], remove=4, add=4, seed=51 + step))
-    rng = np.random.default_rng(5)
-    frames = [
-        t.with_features(rng.standard_normal((t.nnz, 2))) for t in frames
-    ]
-    for precision in PRECISIONS:
-        reference = InferenceSession(unet_config=SMALL_CFG, precision=precision)
-        session = InferenceSession(
-            unet_config=SMALL_CFG, precision=precision,
-            backend="scipy", delta=0.25,
-        )
-        for tensor in frames:
-            want = reference.run(tensor)
-            got = session.run(tensor)
-            assert got.features.dtype == want.features.dtype
-            assert np.array_equal(got.features, want.features)
-        stats = session.stats
-        assert stats.delta_patches > 0
-        assert stats.plans_spliced > 0
-        assert stats.plans_refreshed >= stats.plans_spliced
-
-
 def test_sharded_spec_blob_memoized_across_dispatches():
     session = InferenceSession(unet_config=SMALL_CFG)
     spec = (session.net, session.precision, session.quantization)

@@ -1,4 +1,10 @@
-"""Tests for the incremental rulebook delta engine (repro.engine.delta)."""
+"""Coordinate deltas, near-match lookups and the session's ``delta=`` knob.
+
+Rulebooks are digest-cached and built cold on every miss; a cache warm
+with an earlier frame must serve a churned frame exactly as a cold
+build.  The delta mapping cache splices self-query neighbor tables; its
+generated histories must match cold searches step by step.
+"""
 
 import numpy as np
 import pytest
@@ -15,22 +21,20 @@ from hypothesis.stateful import (
 from repro.arch.config import AcceleratorConfig
 from repro.engine import (
     DEFAULT_DELTA_THRESHOLD,
-    CoordinateDelta,
-    DeltaRulebookCache,
+    DeltaMappingCache,
     InferenceSession,
+    MappingCache,
     coordinate_delta,
-    get_backend,
-    patch_submanifold_rulebook,
 )
+from repro.engine import mapping as M
 from repro.nn import (
+    Rulebook,
     RulebookCache,
     UNetConfig,
     build_sparse_conv_rulebook,
-    build_sparse_conv_rulebook_reference,
     build_submanifold_rulebook,
-    build_submanifold_rulebook_reference,
 )
-from repro.runtime import DriftingSceneSource, StreamingRunner
+from repro.runtime import DriftingSceneSource
 from repro.sparse.coo import SparseTensor3D
 from repro.sparse.hashmap import pack_coords
 from tests.conftest import random_sparse_tensor, site_sets
@@ -75,18 +79,6 @@ def assert_rulebooks_identical(patched, scratch):
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-
-
-class RefreshSpy:
-    """A patch listener that records its notifications."""
-
-    def __init__(self):
-        self.calls = 0
-        self.last = None
-
-    def refresh(self, old, new, delta):
-        self.calls += 1
-        self.last = (old, new, delta)
 
 
 # ----------------------------------------------------------------------
@@ -140,43 +132,20 @@ def test_coordinate_delta_rejects_bad_shape():
 
 
 def strided_near_match(old, new, kernel_size, stride):
-    """The strided lookup of ``new`` on a delta cache warm with ``old``.
+    """The strided lookup of ``new`` on a cache warm with ``old``.
 
-    The threshold admits any churn, so ``new`` is a near-match of the
-    cached ``old`` entry; strided misses are still built cold.
+    Unless the churn is empty, ``new`` is a near-match of the cached
+    ``old`` entry but a digest miss, so it is built cold.
     """
-    cache = DeltaRulebookCache(threshold=1.0)
+    cache = RulebookCache()
     cache.sparse_conv(old, kernel_size, stride)
-    rulebook, out_coords = cache.sparse_conv(new, kernel_size, stride)
-    assert cache.patches == 0
-    return rulebook, out_coords
+    return cache.sparse_conv(new, kernel_size, stride)
 
 
 # ----------------------------------------------------------------------
-# Patches bit-identical to from-scratch matching under randomized
-# add/remove deltas; strided near-matches are built cold
+# Near-matches under randomized add/remove deltas are built cold,
+# bit-identical to from-scratch matching
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel_size", [1, 3])
-@pytest.mark.parametrize("seed", range(8))
-def test_patch_submanifold_bit_identical_random_deltas(kernel_size, seed):
-    rng = np.random.default_rng(seed)
-    old = random_sparse_tensor(
-        seed=seed, shape=(18, 18, 18), nnz=40 + 30 * (seed % 4)
-    )
-    new = churned(
-        old,
-        remove=int(rng.integers(0, min(12, old.nnz))),
-        add=int(rng.integers(0, 15)),
-        seed=seed + 100,
-    )
-    delta = coordinate_delta(old.coords, new.coords)
-    old_rulebook = build_submanifold_rulebook(old, kernel_size)
-    patched = patch_submanifold_rulebook(old_rulebook, delta, new.shape)
-    assert_rulebooks_identical(
-        patched, build_submanifold_rulebook(new, kernel_size)
-    )
-
-
 @pytest.mark.parametrize("stride", [2, 3])
 @pytest.mark.parametrize("seed", range(8))
 def test_patch_strided_and_transposed_bit_identical(stride, seed):
@@ -198,18 +167,6 @@ def test_patch_strided_and_transposed_bit_identical(stride, seed):
     # Transposed convolutions derive from the forward rules, so the
     # cached rulebook's transpose must match the from-scratch one too.
     assert_rulebooks_identical(patched.transposed(), scratch.transposed())
-
-
-def test_patch_from_and_to_degenerate_sets():
-    tensor = random_sparse_tensor(seed=9, nnz=30)
-    empty = SparseTensor3D.empty(tensor.shape)
-    # Everything added (old empty) and everything removed (new empty).
-    for old, new in ((empty, tensor), (tensor, empty)):
-        delta = coordinate_delta(old.coords, new.coords)
-        patched = patch_submanifold_rulebook(
-            build_submanifold_rulebook(old, 3), delta, new.shape
-        )
-        assert_rulebooks_identical(patched, build_submanifold_rulebook(new, 3))
 
 
 OVERLAP_GEOMETRIES = [(3, 2), (4, 2), (3, 1)]
@@ -266,22 +223,31 @@ def assert_plans_identical(got, want):
         assert np.array_equal(mine, theirs)
 
 
+def lazy_plan(rulebook):
+    """The plan a rulebook without a pre-seeded one builds from its rules."""
+    return Rulebook(
+        kernel_size=rulebook.kernel_size,
+        offsets=rulebook.offsets,
+        rules=[rule.copy() for rule in rulebook.rules],
+        num_inputs=rulebook.num_inputs,
+        num_outputs=rulebook.num_outputs,
+    ).plan()
+
+
 def test_patchers_preseed_gather_scatter_plan():
-    """Patched and strided near-match rulebooks hand over their plan
-    arrays, array-for-array identical to a lazily built plan."""
+    """Cold-built submanifold and strided near-match rulebooks hand over
+    their plan arrays, array-for-array identical to a lazily built plan."""
     old = random_sparse_tensor(seed=15, shape=(18, 18, 18), nnz=120)
     new = churned(old, remove=8, add=8, seed=16)
-    delta = coordinate_delta(old.coords, new.coords)
-    sub = patch_submanifold_rulebook(
-        build_submanifold_rulebook(old, 3), delta, new.shape
-    )
+    sub = build_submanifold_rulebook(new, 3)
     assert sub._plan is not None
-    assert_plans_identical(sub._plan, build_submanifold_rulebook(new, 3).plan())
+    assert_plans_identical(sub._plan, lazy_plan(sub))
     for kernel_size, stride in [(2, 2), (3, 2)]:
         patched, _ = strided_near_match(old, new, kernel_size, stride)
         scratch, _ = build_sparse_conv_rulebook(new, kernel_size, stride)
         assert patched._plan is not None
         assert_plans_identical(patched._plan, scratch.plan())
+        assert_plans_identical(patched._plan, lazy_plan(scratch))
 
 
 @st.composite
@@ -315,19 +281,6 @@ def assert_patch_matches_cold(patched, scratch):
     assert_plans_identical(patched._plan, scratch.plan())
 
 
-@given(site_set_pairs(), st.sampled_from([1, 3, 5]))
-@settings(max_examples=80)
-def test_property_one_pass_submanifold_patch_matches_cold(pair, kernel_size):
-    old, new = pair
-    delta = coordinate_delta(old.coords, new.coords)
-    patched = patch_submanifold_rulebook(
-        build_submanifold_rulebook(old, kernel_size), delta, new.shape
-    )
-    assert_patch_matches_cold(
-        patched, build_submanifold_rulebook(new, kernel_size)
-    )
-
-
 @given(site_set_pairs(), st.sampled_from([(2, 2), (3, 1), (3, 2), (2, 1), (3, 3)]))
 @settings(max_examples=80)
 def test_property_one_pass_strided_patch_matches_cold(pair, geometry):
@@ -339,89 +292,36 @@ def test_property_one_pass_strided_patch_matches_cold(pair, geometry):
     assert_patch_matches_cold(patched, scratch)
 
 
-def test_submanifold_patch_rejects_grid_beyond_key_limit():
-    depth = 1 << 21
-    old = SparseTensor3D(np.array([[1, 1, 0]]), np.ones((1, 1)), (4, 4, depth))
-    new = SparseTensor3D(
-        np.array([[1, 1, 0], [1, 0, depth - 1]]), np.ones((2, 1)), old.shape
-    )
-    # The per-offset reference has no key limit, so it can stand in for
-    # a K = 3 rulebook cached on this grid.
-    old_rulebook = build_submanifold_rulebook_reference(old, 3)
-    with pytest.raises(ValueError):
-        patch_submanifold_rulebook(
-            old_rulebook, coordinate_delta(old.coords, new.coords), new.shape
-        )
-
-
 # ----------------------------------------------------------------------
-# DeltaRulebookCache
+# DeltaMappingCache under generated histories
 # ----------------------------------------------------------------------
-def test_delta_cache_patches_near_match_and_rebuilds_far_match():
-    cache = DeltaRulebookCache(threshold=0.25)
-    base = random_sparse_tensor(seed=20, shape=(20, 20, 20), nnz=200)
-    near = churned(base, remove=5, add=5, seed=21)
-    far = random_sparse_tensor(seed=22, shape=(20, 20, 20), nnz=200)
-    cache.submanifold(base, 3)
-    assert (cache.patches, cache.rebuilds) == (0, 1)
-    patched = cache.submanifold(near, 3)
-    assert (cache.patches, cache.rebuilds) == (1, 1)
-    assert cache.delta_stats.patched_added == 5
-    assert cache.delta_stats.patched_removed == 5
-    assert_rulebooks_identical(patched, build_submanifold_rulebook(near, 3))
-    cache.submanifold(far, 3)  # disjoint random set: over threshold
-    assert (cache.patches, cache.rebuilds) == (1, 2)
-    # Digest hits stay free and are counted separately.
-    cache.submanifold(near, 3)
-    assert cache.hits == 1
-    stats = cache.delta_stats
-    assert stats.misses == 3
-    assert stats.patch_rate == pytest.approx(1 / 3)
-
-
-def test_delta_cache_builds_strided_near_match_cold():
-    """A strided near-match is built cold, counted as a rebuild and not
-    notified: the one-pass strided builder is cheaper than a patch."""
-    cache = DeltaRulebookCache(threshold=0.25)
-    spy = RefreshSpy()
-    cache.register_listener(spy)
-    base = random_sparse_tensor(seed=23, shape=(20, 20, 20), nnz=200)
-    near = churned(base, remove=6, add=4, seed=24)
-    for kernel_size, stride in [(2, 2), (3, 2)]:
-        cache.sparse_conv(base, kernel_size, stride)
-        rulebook, out_coords = cache.sparse_conv(near, kernel_size, stride)
-        scratch, scratch_out = build_sparse_conv_rulebook(
-            near, kernel_size, stride
-        )
-        assert np.array_equal(out_coords, scratch_out)
-        assert_rulebooks_identical(rulebook, scratch)
-    assert (cache.misses, cache.patches, cache.rebuilds) == (4, 0, 4)
-    assert spy.calls == 0
-    # The same churn on a submanifold lookup is patched and notified.
-    cache.submanifold(base, 3)
-    cache.submanifold(near, 3)
-    assert (cache.misses, cache.patches, cache.rebuilds) == (6, 1, 5)
-    assert spy.calls == 1
+def assert_tables_identical(got, want):
+    for name in ("indices", "distances", "counts"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype
+        assert mine.shape == theirs.shape
+        assert np.array_equal(mine, theirs)
 
 
 class DeltaCacheHistories(RuleBasedStateMachine):
-    """One delta cache and a spy listener under random site-set histories.
+    """One delta mapping cache under random site-set histories.
 
     Each step adds sites, removes sites or revisits an earlier site set,
-    then looks the current set up at every geometry.  Every lookup must
-    equal the per-offset reference rule for rule, whether it was a
-    digest hit, a patch or a cold build.
+    then runs every self-query lookup on the current set.  Every result
+    must equal a cold search array for array, dtype included, whether it
+    was a digest hit, a splice or a rebuild.
     """
 
-    SUBMANIFOLD_KERNELS = (1, 3)
-    STRIDED_GEOMETRIES = ((2, 2), (3, 2))
+    KNN_KS = (1, 4)
+    BALLS = ((1.5, 6), (2.0, 12))
 
     def __init__(self):
         super().__init__()
-        self.cache = DeltaRulebookCache(capacity=16, threshold=0.5)
-        self.spy = RefreshSpy()
-        self.cache.register_listener(self.spy)
+        self.cache = DeltaMappingCache(capacity=12, threshold=0.5)
         self.lookups = 0
+        # Empty sets are digest-cached but never delta-tracked, so their
+        # misses are neither splices nor rebuilds.
+        self.untracked_misses = 0
         self.visited = []
 
     @initialize(tensor=site_sets())
@@ -455,6 +355,13 @@ class DeltaCacheHistories(RuleBasedStateMachine):
         self.sites = data.draw(st.sampled_from(self.visited))
         self.look_up()
 
+    def check(self, lookup, cold):
+        misses = self.cache.misses
+        assert_tables_identical(lookup(), cold())
+        self.lookups += 1
+        if self.cache.misses > misses and not self.sites:
+            self.untracked_misses += 1
+
     def look_up(self):
         self.visited.append(self.sites)
         flat = np.array(sorted(self.sites), dtype=np.int64)
@@ -462,157 +369,37 @@ class DeltaCacheHistories(RuleBasedStateMachine):
         tensor = SparseTensor3D(
             coords.reshape(-1, 3), np.ones((len(flat), 1)), self.shape
         )
-        for kernel_size in self.SUBMANIFOLD_KERNELS:
-            assert_rulebooks_identical(
-                self.cache.submanifold(tensor, kernel_size),
-                build_submanifold_rulebook_reference(tensor, kernel_size),
+        cache = self.cache
+        for k in self.KNN_KS:
+            self.check(
+                lambda: cache.knn(tensor, k),
+                lambda: M.knn(tensor.coords, k=k),
             )
-        patches = self.cache.patches
-        for kernel_size, stride in self.STRIDED_GEOMETRIES:
-            got, got_out = self.cache.sparse_conv(tensor, kernel_size, stride)
-            want, want_out = build_sparse_conv_rulebook_reference(
-                tensor, kernel_size, stride
+        for radius, max_samples in self.BALLS:
+            self.check(
+                lambda: cache.ball_query(tensor, radius, max_samples),
+                lambda: M.ball_query(
+                    tensor.coords, radius=radius, max_samples=max_samples
+                ),
             )
-            assert np.array_equal(got_out, want_out)
-            assert_rulebooks_identical(got, want)
-        assert self.cache.patches == patches  # strided lookups never patch
-        self.lookups += len(self.SUBMANIFOLD_KERNELS) + len(
-            self.STRIDED_GEOMETRIES
-        )
 
     @invariant()
     def counters_add_up(self):
         cache = self.cache
         assert cache.hits + cache.misses == self.lookups == cache.lookups
-        assert cache.patches + cache.rebuilds == cache.misses
-        assert self.spy.calls == cache.patches
-        if self.spy.last is not None:
-            assert type(self.spy.last[2]) is CoordinateDelta
+        assert (
+            cache.patches + cache.rebuilds + self.untracked_misses
+            == cache.misses
+        )
+        stats = cache.stats
+        assert (stats.hits, stats.misses) == (cache.hits, cache.misses)
+        assert (stats.patches, stats.rebuilds) == (cache.patches, cache.rebuilds)
 
 
 DeltaCacheHistories.TestCase.settings = settings(
     max_examples=40, stateful_step_count=12
 )
 test_delta_cache_histories_match_reference = DeltaCacheHistories.TestCase
-
-
-def test_delta_cache_chains_patches_along_a_drift():
-    cache = DeltaRulebookCache(threshold=0.25)
-    tensor = random_sparse_tensor(seed=25, shape=(20, 20, 20), nnz=300)
-    for step in range(5):
-        cache.submanifold(tensor, 3)
-        tensor = churned(tensor, remove=6, add=6, seed=30 + step)
-    assert cache.rebuilds == 1  # only the first frame
-    assert cache.patches == 4
-    final = cache.submanifold(tensor, 3)
-    assert_rulebooks_identical(final, build_submanifold_rulebook(tensor, 3))
-
-
-def test_delta_cache_respects_threshold_parameterization():
-    base = random_sparse_tensor(seed=26, shape=(20, 20, 20), nnz=100)
-    near = churned(base, remove=10, add=10, seed=27)  # 20% churn
-    tight = DeltaRulebookCache(threshold=0.1)
-    tight.submanifold(base, 3)
-    tight.submanifold(near, 3)
-    assert tight.patches == 0 and tight.rebuilds == 2
-    loose = DeltaRulebookCache(threshold=0.3)
-    loose.submanifold(base, 3)
-    loose.submanifold(near, 3)
-    assert loose.patches == 1 and loose.rebuilds == 1
-
-
-def test_delta_cache_geometry_isolation():
-    """Entries only patch candidates of the same (kind, kernel, shape)."""
-    cache = DeltaRulebookCache(threshold=0.5)
-    base = random_sparse_tensor(seed=28, nnz=80)
-    near = churned(base, remove=2, add=2, seed=29)
-    cache.submanifold(base, 3)
-    cache.submanifold(near, 1)  # different kernel: must rebuild
-    assert cache.patches == 0 and cache.rebuilds == 2
-    other_shape = SparseTensor3D(near.coords, near.features, (32, 32, 32))
-    cache.submanifold(other_shape, 3)  # different grid shape: rebuild
-    assert cache.patches == 0 and cache.rebuilds == 3
-
-
-def test_delta_cache_eviction_prunes_patch_sources():
-    cache = DeltaRulebookCache(capacity=2, threshold=0.5)
-    a = random_sparse_tensor(seed=30, nnz=60)
-    cache.submanifold(a, 3)
-    cache.submanifold(churned(a, 4, 4, seed=31), 3)
-    cache.submanifold(churned(a, 0, 20, seed=32), 3)
-    assert len(cache) == 2
-    assert len(cache._coord_sets) == 2  # pruned in lockstep
-
-
-def test_delta_cache_validates_parameters():
-    with pytest.raises(ValueError, match="threshold"):
-        DeltaRulebookCache(threshold=0.0)
-    with pytest.raises(ValueError, match="threshold"):
-        DeltaRulebookCache(threshold=1.5)
-    with pytest.raises(ValueError, match="max_candidates"):
-        DeltaRulebookCache(max_candidates=0)
-    with pytest.raises(TypeError, match="refresh"):
-        DeltaRulebookCache().register_listener(object())
-
-
-def test_delta_cache_notifies_backend_listener():
-    """Satellite hook: patched rulebooks refresh prepared backend state."""
-    cache = DeltaRulebookCache(threshold=0.25)
-    backend = get_backend("numpy")
-    cache.register_listener(backend)
-    cache.register_listener(backend)  # idempotent
-    base = random_sparse_tensor(seed=33, nnz=150)
-    cache.submanifold(base, 3)
-    assert backend.plans_refreshed == 0
-    patched = cache.submanifold(churned(base, 4, 4, seed=34), 3)
-    assert backend.plans_refreshed == 1
-    # The patched rulebook's plan is already prepared (warm, not cold).
-    assert id(patched) in backend._plans
-
-
-def test_listener_registered_twice_notifies_once():
-    """Satellite regression: duplicate registration must not double-fire
-    ``refresh`` (which would double-count ``plans_refreshed``)."""
-    cache = DeltaRulebookCache(threshold=0.25)
-    spy = RefreshSpy()
-    cache.register_listener(spy)
-    cache.register_listener(spy)  # re-registration: deduped by identity
-    cache.register_listener(spy)
-    assert len(cache._listeners) == 1
-    base = random_sparse_tensor(seed=70, nnz=150)
-    cache.submanifold(base, 3)
-    cache.submanifold(churned(base, 4, 4, seed=71), 3)
-    assert cache.patches == 1
-    assert spy.calls == 1  # exactly one notification per patch
-    # Listeners receive the coordinate delta that drove the patch.
-    old, new, delta = spy.last
-    assert type(delta) is CoordinateDelta
-    # A session re-registering its backend on the shared cache is the
-    # production shape of the same hazard.
-    backend = get_backend("numpy")
-    cache.register_listener(backend)
-    cache.register_listener(backend)
-    cache.submanifold(churned(base, 3, 3, seed=72), 3)
-    assert backend.plans_refreshed == 1
-    assert spy.calls == 2
-
-
-def test_delta_cache_listeners_are_weak():
-    """A shared cache must not keep discarded sessions' backends alive
-    (or keep fanning refresh work out to them)."""
-    import gc
-
-    cache = DeltaRulebookCache(threshold=0.25)
-    backend = get_backend("numpy")
-    cache.register_listener(backend)
-    assert len(cache._listeners) == 1
-    del backend
-    gc.collect()
-    base = random_sparse_tensor(seed=35, nnz=120)
-    cache.submanifold(base, 3)
-    cache.submanifold(churned(base, 3, 3, seed=36), 3)  # notify prunes
-    assert cache.patches == 1
-    assert cache._listeners == []
 
 
 # ----------------------------------------------------------------------
@@ -633,6 +420,8 @@ def drift_frames(num=4, seed=40, nnz=120):
 
 
 def test_session_delta_knob_forms():
+    """``delta=`` picks the session's mapping cache; rulebooks are always
+    digest-cached."""
     assert InferenceSession(unet_config=SMALL_CFG).delta_threshold == 0.0
     assert (
         InferenceSession(unet_config=SMALL_CFG, delta=True).delta_threshold
@@ -645,32 +434,27 @@ def test_session_delta_knob_forms():
     config = AcceleratorConfig(delta_threshold=0.4)
     session = InferenceSession(unet_config=SMALL_CFG, accelerator_config=config)
     assert session.delta_threshold == 0.4
-    assert isinstance(session.rulebook_cache, DeltaRulebookCache)
+    assert isinstance(session.mapping_cache, DeltaMappingCache)
+    assert session.mapping_cache.threshold == 0.4
+    assert type(session.rulebook_cache) is RulebookCache
     off = InferenceSession(
         unet_config=SMALL_CFG, accelerator_config=config, delta=False
     )
     assert off.delta_threshold == 0.0
-    assert not isinstance(off.rulebook_cache, DeltaRulebookCache)
+    assert type(off.mapping_cache) is MappingCache
+    assert type(off.rulebook_cache) is RulebookCache
 
 
 def test_session_delta_knob_validation():
-    with pytest.raises(ValueError, match="threshold"):
-        InferenceSession(unet_config=SMALL_CFG, delta=1.5)
-    with pytest.raises(ValueError, match="DeltaRulebookCache"):
-        InferenceSession(
-            unet_config=SMALL_CFG, delta=0.2, rulebook_cache=RulebookCache()
-        )
-    with pytest.raises(ValueError, match="delta=False"):
-        InferenceSession(
-            unet_config=SMALL_CFG,
-            delta=False,
-            rulebook_cache=DeltaRulebookCache(),
-        )
-    shared = DeltaRulebookCache(threshold=0.3)
+    for bad in (1.5, 0.0, -0.2):
+        with pytest.raises(ValueError, match="threshold"):
+            InferenceSession(unet_config=SMALL_CFG, delta=bad)
+    shared = RulebookCache()
     session = InferenceSession(
         unet_config=SMALL_CFG, delta=0.2, rulebook_cache=shared
     )
     assert session.rulebook_cache is shared
+    assert session.mapping_cache.threshold == 0.2
 
 
 def test_config_delta_threshold_validation_and_serialization():
@@ -699,61 +483,24 @@ def test_session_delta_outputs_bit_identical_cold_and_warm(precision):
             assert got.features.dtype == want.features.dtype
             assert np.array_equal(got.features, want.features)
             assert np.array_equal(got.coords, want.coords)
-    assert session.stats.delta_patches > 0
-
-
-def test_session_delta_stats_and_streaming_runner():
-    frames = drift_frames()
-    session = InferenceSession(unet_config=SMALL_CFG, delta=0.5)
-    for frame in frames:
-        session.run(frame)
     stats = session.stats
-    assert stats.delta_patches > 0
-    assert stats.delta_rebuilds > 0
-    assert stats.matching_passes == stats.delta_patches + stats.delta_rebuilds
-    assert stats.plans_refreshed == stats.delta_patches  # eager numpy refresh
-    assert stats.plans_spliced == 0
-    session.reset_stats()
-    assert session.stats.delta_patches == 0
-    # Backend refresh counters are reported per stats era, like the rest.
-    assert session.stats.plans_refreshed == 0
-    assert session.stats.plans_spliced == 0
-
-    runner = StreamingRunner(resolution=24, delta=0.5)
-    assert isinstance(runner.session.rulebook_cache, DeltaRulebookCache)
-    with pytest.raises(ValueError, match="session owns"):
-        StreamingRunner(session=InferenceSession(), delta=0.5)
+    assert stats.rulebook_hits > 0 and stats.rulebook_misses > 0
 
 
-def test_streaming_runner_reports_patches_on_drifting_scene():
-    source = DriftingSceneSource(num_frames=4, churn=0.01, seed=0)
-    runner = StreamingRunner(resolution=48, delta=0.5)
-    stats = runner.run(source)
-    assert stats.rulebook_patches > 0
-    assert stats.rulebook_patches <= stats.rulebook_misses
-    per_frame = [f.rulebook_patches for f in stats.frames]
-    assert per_frame[0] == 0  # nothing to patch from on the first frame
-    assert sum(per_frame[1:]) == stats.rulebook_patches
-    # The numpy backend refreshes eagerly (no splice path).
-    assert stats.plan_refreshes == stats.rulebook_patches
-    assert stats.plan_splices == 0
-
-
-def test_streaming_runner_reports_spliced_plans_on_scipy_backend():
-    pytest.importorskip("scipy")
-    source = DriftingSceneSource(num_frames=4, churn=0.01, seed=0)
-    runner = StreamingRunner(
-        resolution=48, delta=0.5, backend="scipy", execute_reference=True
-    )
-    stats = runner.run(source)
-    assert stats.rulebook_patches > 0
-    # Every patched rulebook's plan was spliced: execute_reference keeps
-    # the previous frame's plan warm in the backend memo.
-    assert stats.plan_splices == stats.rulebook_patches
-    assert stats.plan_refreshes == stats.plan_splices
-    per_frame = [f.plan_splices for f in stats.frames]
-    assert per_frame[0] == 0
-    assert sum(per_frame) == stats.plan_splices
+def test_session_rulebook_delta_counters_read_zero():
+    """Every rulebook miss is a cold build: the rulebook delta and plan
+    refresh counters stay 0 and ``matching_passes`` counts the misses."""
+    frames = drift_frames()
+    for backend in ("numpy", "scipy"):
+        session = InferenceSession(
+            unet_config=SMALL_CFG, backend=backend, delta=0.5
+        )
+        for frame in frames:
+            session.run(frame)
+        stats = session.stats
+        assert stats.matching_passes == stats.rulebook_misses > 0
+        assert (stats.delta_patches, stats.delta_rebuilds) == (0, 0)
+        assert (stats.plans_refreshed, stats.plans_spliced) == (0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Acceptance (tentpole): warm lookups hit without recomputation, and a
 delta-spliced neighbor table is bit-identical to a from-scratch search
-on the churned coordinates — the same guarantee DeltaRulebookCache
-gives the rulebook path.
+on the churned coordinates.
 """
 
 import numpy as np

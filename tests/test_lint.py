@@ -44,9 +44,6 @@ class {name}:
     def execute(self, rulebook, feats, weights, num_outputs, stats=None):
         return 0
 
-    def refresh(self, old_rulebook, new_rulebook, delta):
-        return None
-
     def capabilities(self):
         return {{}}
 
@@ -57,7 +54,6 @@ class {name}:
 SURFACE = (
     "prepare",
     "execute",
-    "refresh",
     "capabilities",
     "close",
 )

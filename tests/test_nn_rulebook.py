@@ -1,5 +1,7 @@
 """Tests for rulebook construction — the reference matching operation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from repro.nn.rulebook import lookup_rows
 from repro.sparse import SparseTensor3D, pack_coords
 from tests.conftest import random_sparse_tensor, site_sets
 
-SUBMANIFOLD_KERNELS = [1, 3, 5]
+SUBMANIFOLD_KERNELS = [1, 3, 5, 7]
 STRIDED_GEOMETRIES = [(2, 2), (3, 1), (3, 2), (2, 1), (3, 3)]
 
 
@@ -207,13 +209,73 @@ def assert_matches_reference(got, want):
     assert_plans_identical(got.plan(), want.plan())
 
 
+def assert_mirrored(rulebook):
+    """Offset ``K^3 - 1 - k`` is ``-d``: offset ``k``'s pairs, swapped."""
+    rules = rulebook.rules
+    last = len(rules) - 1
+    for k, rule in enumerate(rules):
+        assert np.array_equal(rules[last - k], rule[:, ::-1])
+
+
+def assert_submanifold_matches_reference(tensor, kernel_size):
+    got = build_submanifold_rulebook(tensor, kernel_size)
+    assert_matches_reference(
+        got, build_submanifold_rulebook_reference(tensor, kernel_size)
+    )
+    assert_mirrored(got)
+
+
 @given(site_sets(), st.sampled_from(SUBMANIFOLD_KERNELS))
 @settings(max_examples=120)
 def test_property_submanifold_matches_reference(tensor, kernel_size):
-    assert_matches_reference(
-        build_submanifold_rulebook(tensor, kernel_size),
-        build_submanifold_rulebook_reference(tensor, kernel_size),
+    assert_submanifold_matches_reference(tensor, kernel_size)
+
+
+@st.composite
+def run_sets(draw):
+    """Long runs of consecutive keys: full z-lines, full boxes, strays."""
+    shape = tuple(draw(st.integers(1, n)) for n in (6, 6, 16))
+    occupied = np.zeros(shape, dtype=bool)
+    for _ in range(draw(st.integers(0, 4))):
+        x = draw(st.integers(0, shape[0] - 1))
+        y = draw(st.integers(0, shape[1] - 1))
+        occupied[x, y, :] = True
+    for _ in range(draw(st.integers(0, 2))):
+        low = [draw(st.integers(0, n - 1)) for n in shape]
+        high = [draw(st.integers(lo + 1, n)) for lo, n in zip(low, shape)]
+        occupied[low[0]:high[0], low[1]:high[1], low[2]:high[2]] = True
+    strays = draw(st.lists(st.integers(0, occupied.size - 1), max_size=20))
+    occupied.flat[strays] = True
+    coords = np.argwhere(occupied).reshape(-1, 3)
+    return SparseTensor3D(coords, np.ones((len(coords), 1)), shape)
+
+
+@given(run_sets(), st.sampled_from(SUBMANIFOLD_KERNELS))
+@settings(max_examples=120)
+def test_property_submanifold_long_runs_match_reference(tensor, kernel_size):
+    assert_submanifold_matches_reference(tensor, kernel_size)
+
+
+@st.composite
+def key_limit_sets(draw):
+    """Sites on the faces of the largest grid a kernel's padding allows."""
+    kernel_size = draw(st.sampled_from(SUBMANIFOLD_KERNELS[1:]))
+    extent = (1 << 21) - 2 * (kernel_size // 2)
+    ends = [0, 1, 2, extent - 3, extent - 2, extent - 1]
+    candidates = np.array(list(itertools.product(ends, repeat=3)))
+    picks = draw(
+        st.lists(st.integers(0, len(candidates) - 1), unique=True, max_size=80)
     )
+    coords = candidates[picks].reshape(-1, 3)
+    shape = (extent, extent, extent)
+    return SparseTensor3D(coords, np.ones((len(coords), 1)), shape), kernel_size
+
+
+@given(key_limit_sets())
+@settings(max_examples=60)
+def test_property_submanifold_key_limit_faces_match_reference(case):
+    tensor, kernel_size = case
+    assert_submanifold_matches_reference(tensor, kernel_size)
 
 
 @given(site_sets(), st.sampled_from(STRIDED_GEOMETRIES))
@@ -235,10 +297,7 @@ def test_property_strided_matches_reference(tensor, geometry):
 def test_builders_match_reference_on_empty_sets(shape):
     tensor = SparseTensor3D.empty(shape)
     for kernel_size in SUBMANIFOLD_KERNELS:
-        assert_matches_reference(
-            build_submanifold_rulebook(tensor, kernel_size),
-            build_submanifold_rulebook_reference(tensor, kernel_size),
-        )
+        assert_submanifold_matches_reference(tensor, kernel_size)
     for kernel_size, stride in STRIDED_GEOMETRIES:
         got, got_out = build_sparse_conv_rulebook(tensor, kernel_size, stride)
         want, want_out = build_sparse_conv_rulebook_reference(
@@ -255,10 +314,7 @@ def test_builders_match_reference_on_default_chair():
         resolution=192, normalize=False, occupancy_only=True
     ).voxelize(cloud)
     for kernel_size in SUBMANIFOLD_KERNELS:
-        assert_matches_reference(
-            build_submanifold_rulebook(tensor, kernel_size),
-            build_submanifold_rulebook_reference(tensor, kernel_size),
-        )
+        assert_submanifold_matches_reference(tensor, kernel_size)
     for kernel_size, stride in STRIDED_GEOMETRIES:
         got, got_out = build_sparse_conv_rulebook(tensor, kernel_size, stride)
         want, want_out = build_sparse_conv_rulebook_reference(
