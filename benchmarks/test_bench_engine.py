@@ -50,6 +50,20 @@ def median_seconds(fn, reps=11, warmup=2):
     return statistics.median(samples)
 
 
+def blocked_median_seconds(fn_a, fn_b, blocks=3):
+    """Median seconds of two callables over alternating sample blocks.
+
+    Each block is one :func:`median_seconds` run per side, so every
+    sample is taken as in a single run; alternating the blocks keeps a
+    burst of load from other processes from landing on one side only.
+    """
+    medians_a, medians_b = [], []
+    for _ in range(blocks):
+        medians_a.append(median_seconds(fn_a))
+        medians_b.append(median_seconds(fn_b))
+    return statistics.median(medians_a), statistics.median(medians_b)
+
+
 def test_engine_beats_seed_path_5x(write_report):
     grid, weights = default_workload()
     cache = RulebookCache()
@@ -67,8 +81,7 @@ def test_engine_beats_seed_path_5x(write_report):
 
     assert np.array_equal(seed_layer(), engine_layer())
 
-    seed_s = median_seconds(seed_layer)
-    engine_s = median_seconds(engine_layer)
+    seed_s, engine_s = blocked_median_seconds(seed_layer, engine_layer)
     speedup = seed_s / engine_s
 
     # Scatter-stage breakdown: seed scatter is the np.add.at loop over

@@ -840,8 +840,9 @@ class RemoteShardBackend(ExecutionBackend):
 class LocalWorkerFleet:
     """N loopback ``python -m repro worker`` subprocesses.
 
-    Spawns workers on ephemeral ports, parses their readiness lines for
-    the bound addresses, and owns their lifetime.  ``kill`` SIGKILLs one
+    Spawns workers on ephemeral ports (one BLAS thread each unless the
+    environment sets otherwise), parses their readiness lines for the
+    bound addresses, and owns their lifetime.  ``kill`` SIGKILLs one
     worker (the failover drill); ``restart`` spawns a replacement on a
     fresh port (pair it with :meth:`RemoteShardBackend.rejoin`).
     """
@@ -876,6 +877,10 @@ class LocalWorkerFleet:
             os.path.abspath(__file__)
         )))
         env = dict(os.environ)
+        # The fleet's parallelism is across worker processes; a BLAS pool
+        # per worker would oversubscribe the cores.  Explicit settings win.
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.setdefault(var, "1")
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (
             package_root if not existing

@@ -32,7 +32,9 @@ from repro.nn import (
     RulebookCache,
     UNetConfig,
     build_sparse_conv_rulebook,
+    build_sparse_conv_rulebook_reference,
     build_submanifold_rulebook,
+    build_submanifold_rulebook_reference,
 )
 from repro.runtime import DriftingSceneSource
 from repro.sparse.coo import SparseTensor3D
@@ -131,6 +133,17 @@ def test_coordinate_delta_rejects_bad_shape():
         coordinate_delta(np.zeros((2, 2, 2)), np.zeros((0, 3)))
 
 
+def submanifold_near_match(old, new, kernel_size):
+    """The submanifold lookup of ``new`` on a cache warm with ``old``.
+
+    Unless the churn is empty, ``new`` is a near-match of the cached
+    ``old`` entry but a digest miss, so it is built cold.
+    """
+    cache = RulebookCache()
+    cache.submanifold(old, kernel_size)
+    return cache.submanifold(new, kernel_size)
+
+
 def strided_near_match(old, new, kernel_size, stride):
     """The strided lookup of ``new`` on a cache warm with ``old``.
 
@@ -146,6 +159,56 @@ def strided_near_match(old, new, kernel_size, stride):
 # Near-matches under randomized add/remove deltas are built cold,
 # bit-identical to from-scratch matching
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("kernel_size", [1, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_patch_submanifold_bit_identical_random_deltas(kernel_size, seed):
+    rng = np.random.default_rng(seed)
+    old = random_sparse_tensor(
+        seed=seed, shape=(18, 18, 18), nnz=40 + 30 * (seed % 4)
+    )
+    new = churned(
+        old,
+        remove=int(rng.integers(0, min(12, old.nnz))),
+        add=int(rng.integers(0, 15)),
+        seed=seed + 100,
+    )
+    near = submanifold_near_match(old, new, kernel_size)
+    assert_rulebooks_identical(
+        near, build_submanifold_rulebook_reference(new, kernel_size)
+    )
+    assert_plans_identical(near._plan, lazy_plan(near))
+
+
+def test_patch_from_and_to_degenerate_sets():
+    tensor = random_sparse_tensor(seed=9, nnz=30)
+    empty = SparseTensor3D.empty(tensor.shape)
+    # Everything added (old empty) and everything removed (new empty).
+    for old, new in ((empty, tensor), (tensor, empty)):
+        assert_rulebooks_identical(
+            submanifold_near_match(old, new, 3),
+            build_submanifold_rulebook_reference(new, 3),
+        )
+
+
+def test_submanifold_patch_rejects_grid_beyond_key_limit():
+    """A grid too deep for the padded key fields is rejected on every
+    lookup; the failed build leaves no entry behind."""
+    depth = 1 << 21
+    tensor = SparseTensor3D(
+        np.array([[1, 1, 0], [1, 0, depth - 1]]), np.ones((2, 1)), (4, 4, depth)
+    )
+    cache = RulebookCache()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cache.submanifold(tensor, 3)
+    assert len(cache) == 0 and cache.hits == 0
+    # K = 1 needs no padding, so the same grid is still matched.
+    assert_rulebooks_identical(
+        cache.submanifold(tensor, 1),
+        build_submanifold_rulebook_reference(tensor, 1),
+    )
+
+
 @pytest.mark.parametrize("stride", [2, 3])
 @pytest.mark.parametrize("seed", range(8))
 def test_patch_strided_and_transposed_bit_identical(stride, seed):
@@ -281,6 +344,17 @@ def assert_patch_matches_cold(patched, scratch):
     assert_plans_identical(patched._plan, scratch.plan())
 
 
+@given(site_set_pairs(), st.sampled_from([1, 3, 5, 7]))
+@settings(max_examples=80)
+def test_property_one_pass_submanifold_patch_matches_cold(pair, kernel_size):
+    old, new = pair
+    near = submanifold_near_match(old, new, kernel_size)
+    assert_rulebooks_identical(
+        near, build_submanifold_rulebook_reference(new, kernel_size)
+    )
+    assert_plans_identical(near._plan, lazy_plan(near))
+
+
 @given(site_set_pairs(), st.sampled_from([(2, 2), (3, 1), (3, 2), (2, 1), (3, 3)]))
 @settings(max_examples=80)
 def test_property_one_pass_strided_patch_matches_cold(pair, geometry):
@@ -400,6 +474,118 @@ DeltaCacheHistories.TestCase.settings = settings(
     max_examples=40, stateful_step_count=12
 )
 test_delta_cache_histories_match_reference = DeltaCacheHistories.TestCase
+
+
+def test_delta_cache_patches_near_match_and_rebuilds_far_match():
+    cache = DeltaMappingCache(threshold=0.25)
+    base = random_sparse_tensor(seed=20, shape=(20, 20, 20), nnz=200)
+    near = churned(base, remove=5, add=5, seed=21)
+    far = random_sparse_tensor(seed=22, shape=(20, 20, 20), nnz=200)
+    cache.knn(base, 4)
+    assert (cache.patches, cache.rebuilds) == (0, 1)
+    patched = cache.knn(near, 4)
+    assert (cache.patches, cache.rebuilds) == (1, 1)
+    assert (cache.patched_added, cache.patched_removed) == (5, 5)
+    assert patched.stats.method == "delta-patch"
+    assert_tables_identical(patched, M.knn(near.coords, k=4))
+    cache.knn(far, 4)  # disjoint random set: over threshold
+    assert (cache.patches, cache.rebuilds) == (1, 2)
+    # Digest hits stay free and are counted separately.
+    cache.knn(near, 4)
+    assert cache.hits == 1
+    stats = cache.stats
+    assert stats.misses == 3
+    assert stats.patch_rate == pytest.approx(1 / 3)
+
+
+def test_delta_cache_builds_strided_near_match_cold():
+    """Rulebooks have no delta path: strided and submanifold near-matches
+    are digest misses built cold.  Only the mapping cache splices the
+    same churn."""
+    rulebooks = RulebookCache()
+    base = random_sparse_tensor(seed=23, shape=(20, 20, 20), nnz=200)
+    near = churned(base, remove=6, add=4, seed=24)
+    for kernel_size, stride in [(2, 2), (3, 2)]:
+        rulebooks.sparse_conv(base, kernel_size, stride)
+        rulebook, out_coords = rulebooks.sparse_conv(near, kernel_size, stride)
+        want, want_out = build_sparse_conv_rulebook_reference(
+            near, kernel_size, stride
+        )
+        assert np.array_equal(out_coords, want_out)
+        assert_rulebooks_identical(rulebook, want)
+    rulebooks.submanifold(base, 3)
+    assert_rulebooks_identical(
+        rulebooks.submanifold(near, 3),
+        build_submanifold_rulebook_reference(near, 3),
+    )
+    assert (rulebooks.hits, rulebooks.misses) == (0, 6)
+    mapping = DeltaMappingCache(threshold=0.25)
+    mapping.knn(base, 4)
+    mapping.knn(near, 4)
+    assert (mapping.patches, mapping.rebuilds) == (1, 1)
+
+
+def test_delta_cache_chains_patches_along_a_drift():
+    cache = DeltaMappingCache(threshold=0.25)
+    tensor = random_sparse_tensor(seed=25, shape=(20, 20, 20), nnz=300)
+    for step in range(5):
+        got = cache.ball_query(tensor, 2.0, 8)
+        assert_tables_identical(
+            got, M.ball_query(tensor.coords, radius=2.0, max_samples=8)
+        )
+        tensor = churned(tensor, remove=6, add=6, seed=30 + step)
+    assert cache.rebuilds == 1  # only the first frame
+    assert cache.patches == 4  # each splice sources the previous one
+    assert (cache.patched_added, cache.patched_removed) == (24, 24)
+
+
+def test_delta_cache_respects_threshold_parameterization():
+    base = random_sparse_tensor(seed=26, shape=(20, 20, 20), nnz=100)
+    near = churned(base, remove=10, add=10, seed=27)  # 20% churn
+    tight = DeltaMappingCache(threshold=0.1)
+    tight.knn(base, 4)
+    tight.knn(near, 4)
+    assert tight.patches == 0 and tight.rebuilds == 2
+    loose = DeltaMappingCache(threshold=0.3)
+    loose.knn(base, 4)
+    loose.knn(near, 4)
+    assert loose.patches == 1 and loose.rebuilds == 1
+
+
+def test_delta_cache_geometry_isolation():
+    """Entries only patch candidates of the same (op, parameters)."""
+    cache = DeltaMappingCache(threshold=0.5)
+    base = random_sparse_tensor(seed=28, nnz=80)
+    near = churned(base, remove=2, add=2, seed=29)
+    cache.ball_query(base, 1.5, 6)
+    cache.knn(near, 6)  # different op: must rebuild
+    cache.ball_query(near, 2.0, 6)  # different radius: rebuild
+    cache.ball_query(near, 1.5, 12)  # different cap: rebuild
+    assert cache.patches == 0 and cache.rebuilds == 4
+    cache.ball_query(near, 1.5, 6)  # same geometry as base: patch
+    assert cache.patches == 1
+
+
+def test_delta_cache_eviction_prunes_patch_sources():
+    cache = DeltaMappingCache(capacity=2, threshold=0.5)
+    a = random_sparse_tensor(seed=30, nnz=60)
+    cache.knn(a, 3)
+    cache.knn(churned(a, 4, 4, seed=31), 3)
+    cache.knn(churned(a, 0, 20, seed=32), 3)
+    assert len(cache) == 2
+    assert len(cache._coord_sets) == 2  # pruned in lockstep
+    assert all(key in cache._entries for key in cache._coord_sets)
+
+
+def test_delta_cache_validates_parameters():
+    with pytest.raises(ValueError, match="threshold"):
+        DeltaMappingCache(threshold=0.0)
+    with pytest.raises(ValueError, match="threshold"):
+        DeltaMappingCache(threshold=1.5)
+    with pytest.raises(ValueError, match="max_candidates"):
+        DeltaMappingCache(max_candidates=0)
+    with pytest.raises(ValueError, match="capacity"):
+        DeltaMappingCache(capacity=0)
 
 
 # ----------------------------------------------------------------------
