@@ -48,9 +48,10 @@ precision.  The asyncio serving front door
 from __future__ import annotations
 
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -85,6 +86,8 @@ from repro.quant.quantizer import calibrate_scale
 from repro.sparse.coo import SparseTensor3D
 
 PRECISIONS = ("float64", "float32", "int")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -496,8 +499,10 @@ class InferenceSession:
         per-dispatch latency histograms).  ``None`` (default) creates a
         private registry; pass a shared one to unify session, server
         and cluster metrics on a single scrape surface (as ``python -m
-        repro serve --metrics-port`` does).  :attr:`stats` snapshots
-        stay exact regardless of whether the registry is enabled.
+        repro serve --metrics-port`` does).  The ``repro_session_*``
+        counters are read-only views of :attr:`stats`, exact whether or
+        not the registry is enabled; sessions sharing one registry are
+        read through the newest one constructed.
     """
 
     def __init__(
@@ -573,12 +578,13 @@ class InferenceSession:
         self._declare_metrics()
 
     def _declare_metrics(self) -> None:
-        """Register the session's telemetry surface (idempotent).
+        """Register the session's telemetry surface.
 
-        Counters mirror the :attr:`stats` snapshot (same numbers, same
-        session era — they re-sync on :meth:`reset_stats`); the
-        histograms are the timing distributions the flat ``SessionStats``
-        fields cannot carry.
+        The counters are reader counters over the counts :attr:`stats`
+        snapshots, so the two cannot disagree; on a shared registry
+        they rebind to this, the newest, session.  The histograms are
+        the timing distributions the flat ``SessionStats`` fields
+        cannot carry.
         """
         reg = self.registry
         reg.gauge(
@@ -586,31 +592,58 @@ class InferenceSession:
             "Session configuration marker; the value is always 1.",
             labels=("backend", "precision"),
         ).set(1, backend=self.backend.name, precision=self.precision)
-        self._m_frames = reg.counter(
+        # Held weakly: a strong reference would make each session a
+        # cycle through its registry that only the cyclic GC frees.
+        session = weakref.ref(self)
+
+        def read(series):
+            def counts():
+                owner = session()
+                return None if owner is None else series(owner)
+
+            return counts
+
+        reg.counter(
             "repro_session_frames_total",
             "Frames run through the session (run + run_batch).",
+            read=read(lambda s: s._frames_run),
         )
-        self._m_batches = reg.counter(
+        reg.counter(
             "repro_session_batches_total",
             "run_batch dispatches.",
+            read=read(lambda s: s._batches_run),
         )
-        self._m_estimates = reg.counter(
+        reg.counter(
             "repro_session_estimates_total",
             "Analytical estimates computed.",
+            read=read(lambda s: s._estimates),
         )
-        self._m_simulations = reg.counter(
+        reg.counter(
             "repro_session_simulations_total",
             "Cycle-accurate simulations run.",
+            read=read(lambda s: s._simulations),
         )
-        self._m_cache_lookups = reg.counter(
+        reg.counter(
             "repro_session_cache_lookups_total",
             "Cache lookups by cache (rulebook/plan/mapping) and outcome.",
             labels=("cache", "result"),
+            read=read(lambda s: {
+                ("rulebook", "hit"): s.rulebook_cache.hits,
+                ("rulebook", "miss"): s.rulebook_cache.misses,
+                ("plan", "hit"): s.plan_cache.hits,
+                ("plan", "miss"): s.plan_cache.misses,
+                ("mapping", "hit"): s.mapping_cache.hits,
+                ("mapping", "miss"): s.mapping_cache.misses,
+            }),
         )
-        self._m_delta_events = reg.counter(
+        reg.counter(
             "repro_session_delta_events_total",
             "Delta-cache digest misses served by patching vs rebuilt.",
             labels=("cache", "event"),
+            read=read(lambda s: {
+                ("mapping", "patch"): s.stats.mapping_patches,
+                ("mapping", "rebuild"): s.stats.mapping_rebuilds,
+            }),
         )
         self._m_dispatch = reg.histogram(
             "repro_session_dispatch_seconds",
@@ -623,47 +656,23 @@ class InferenceSession:
             labels=("stage",),
         )
 
-    def _publish(self, snap: "SessionStats") -> None:
-        """Mirror a stats snapshot into the registry counters."""
-        lookups = self._m_cache_lookups
-        lookups.sync_to(snap.rulebook_hits, cache="rulebook", result="hit")
-        lookups.sync_to(snap.rulebook_misses, cache="rulebook", result="miss")
-        lookups.sync_to(snap.plan_hits, cache="plan", result="hit")
-        lookups.sync_to(snap.plan_misses, cache="plan", result="miss")
-        lookups.sync_to(snap.mapping_hits, cache="mapping", result="hit")
-        lookups.sync_to(snap.mapping_misses, cache="mapping", result="miss")
-        delta = self._m_delta_events
-        delta.sync_to(snap.mapping_patches, cache="mapping", event="patch")
-        delta.sync_to(snap.mapping_rebuilds, cache="mapping", event="rebuild")
-        self._m_frames.sync_to(snap.frames_run)
-        self._m_batches.sync_to(snap.batches_run)
-        self._m_estimates.sync_to(snap.estimates)
-        self._m_simulations.sync_to(snap.simulations)
+    def _dispatch(self, path: str, impl: Callable[..., _T], *args) -> _T:
+        """Run ``impl(*args)``, recording its latency and stage times.
 
-    def _observe_dispatch(
-        self,
-        path: str,
-        seconds: float,
-        stage_base: Tuple[float, float, float],
-    ) -> None:
-        """Record one dispatch: e2e latency + engine stage deltas."""
-        self._m_dispatch.observe(seconds, path=path)
+        With the registry disabled this is a single attribute check.
+        """
+        if not self.registry.enabled:
+            return impl(*args)
         stats = self.apply_stats
-        for stage, base in zip(
-            ("gather", "gemm", "scatter"), stage_base
-        ):
-            delta = getattr(stats, f"{stage}_seconds") - base
+        base = (stats.gather_seconds, stats.gemm_seconds, stats.scatter_seconds)
+        start = time.perf_counter()
+        out = impl(*args)
+        self._m_dispatch.observe(time.perf_counter() - start, path=path)
+        for stage, before in zip(("gather", "gemm", "scatter"), base):
+            delta = getattr(stats, f"{stage}_seconds") - before
             if delta > 0.0:
                 self._m_stage.observe(delta, stage=stage)
-        self._publish(self._snapshot())
-
-    def _stage_base(self) -> Tuple[float, float, float]:
-        stats = self.apply_stats
-        return (
-            stats.gather_seconds,
-            stats.gemm_seconds,
-            stats.scatter_seconds,
-        )
+        return out
 
     def _resolve_delta_threshold(self, delta: Optional[object]) -> float:
         """The churn-ratio threshold the ``delta=`` knob selects.
@@ -718,17 +727,11 @@ class InferenceSession:
     def stats(self) -> SessionStats:
         """Point-in-time snapshot of the session's engine counters.
 
-        The same numbers are mirrored into :attr:`registry` (see
-        ``docs/observability.md``): reading ``stats`` re-syncs the
-        registry's session counters, so the Prometheus view and the
-        dataclass view never drift.
+        The session's own counts and its caches' hits / misses are the
+        only store: the ``repro_session_*`` counters in :attr:`registry`
+        read this snapshot when rendered or queried (see
+        ``docs/observability.md``), so the two views cannot drift.
         """
-        snap = self._snapshot()
-        if self.registry.enabled:
-            self._publish(snap)
-        return snap
-
-    def _snapshot(self) -> SessionStats:
         cache = self.rulebook_cache
         return SessionStats(
             frames_run=self._frames_run,
@@ -761,10 +764,6 @@ class InferenceSession:
         self._batches_run = 0
         self._estimates = 0
         self._simulations = 0
-        if self.registry.enabled:
-            # Registry counters mirror the session era: a reset re-syncs
-            # them to the zeroed snapshot rather than leaving stale totals.
-            self._publish(self._snapshot())
 
     # ------------------------------------------------------------------
     # Planning
@@ -848,15 +847,7 @@ class InferenceSession:
         :mod:`repro.nn.point_layers`) return their logits array, with
         every mapping op routed through the session's mapping cache.
         """
-        if not self.registry.enabled:
-            return self._run_impl(tensor)
-        stage_base = self._stage_base()
-        start = time.perf_counter()
-        out = self._run_impl(tensor)
-        self._observe_dispatch(
-            "run", time.perf_counter() - start, stage_base
-        )
-        return out
+        return self._dispatch("run", self._run_impl, tensor)
 
     def _run_impl(self, tensor: SparseTensor3D) -> SparseTensor3D:
         if self._mapping_network():
@@ -883,15 +874,7 @@ class InferenceSession:
         them in a warm private session, so results stay bit-identical
         while groups run concurrently.
         """
-        if not self.registry.enabled:
-            return self._run_batch_impl(tensors)
-        stage_base = self._stage_base()
-        start = time.perf_counter()
-        outs = self._run_batch_impl(tensors)
-        self._observe_dispatch(
-            "run_batch", time.perf_counter() - start, stage_base
-        )
-        return outs
+        return self._dispatch("run_batch", self._run_batch_impl, tensors)
 
     def _run_batch_impl(
         self, tensors: Sequence[SparseTensor3D]
@@ -911,10 +894,7 @@ class InferenceSession:
             self._frames_run += len(tensors)
             return outs  # type: ignore[return-value]
         self._validate_batch_channels(tensors)
-        groups: "OrderedDict[Hashable, List[int]]" = OrderedDict()
-        for index, tensor in enumerate(tensors):
-            key = (tensor.shape, tensor.coords_digest())
-            groups.setdefault(key, []).append(index)
+        groups = _digest_groups(tensors)
         results: List[Optional[SparseTensor3D]] = [None] * len(tensors)
         if self.backend.capabilities().sharded:
             self._run_batch_sharded(tensors, groups, results)
@@ -945,7 +925,7 @@ class InferenceSession:
     def _run_batch_sharded(
         self,
         tensors: Sequence[SparseTensor3D],
-        groups: "OrderedDict[Hashable, List[int]]",
+        groups: Dict[Hashable, List[int]],
         results: List[Optional[SparseTensor3D]],
     ) -> None:
         """Fan digest groups out across the sharded backend's workers.
@@ -1045,15 +1025,7 @@ class InferenceSession:
         and each op is priced on the unified sort/merge/gather pipeline
         by :class:`repro.arch.mapping_model.MappingCostModel`.
         """
-        if not self.registry.enabled:
-            return self._estimate_impl(tensor)
-        start = time.perf_counter()
-        estimate = self._estimate_impl(tensor)
-        self._m_dispatch.observe(
-            time.perf_counter() - start, path="estimate"
-        )
-        self._publish(self._snapshot())
-        return estimate
+        return self._dispatch("estimate", self._estimate_impl, tensor)
 
     def _estimate_impl(self, tensor: SparseTensor3D) -> NetworkEstimate:
         if self._mapping_network():
@@ -1090,14 +1062,10 @@ class InferenceSession:
             # method keeps the estimate counter.
             return [self.estimate(tensor) for tensor in tensors]
         results: List[Optional[NetworkEstimate]] = [None] * len(tensors)
-        group_estimates: Dict[Hashable, NetworkEstimate] = {}
-        for index, tensor in enumerate(tensors):
-            key = (tensor.shape, tensor.coords_digest())
-            estimate = group_estimates.get(key)
-            if estimate is None:
-                estimate = self._estimate_from_plan(self.warm(tensor))
-                group_estimates[key] = estimate
-            results[index] = estimate
+        for indices in _digest_groups(tensors).values():
+            estimate = self._estimate_from_plan(self.warm(tensors[indices[0]]))
+            for index in indices:
+                results[index] = estimate
         self._estimates += len(tensors)
         return results  # type: ignore[return-value]
 
@@ -1118,19 +1086,9 @@ class InferenceSession:
         mapping ops laid out back to back on the shared sort/merge/gather
         pipeline (``verify``/``include_host_layers`` do not apply).
         """
-        if not self.registry.enabled:
-            return self._simulate_impl(
-                tensor, verify=verify, include_host_layers=include_host_layers
-            )
-        start = time.perf_counter()
-        result = self._simulate_impl(
-            tensor, verify=verify, include_host_layers=include_host_layers
+        return self._dispatch(
+            "simulate", self._simulate_impl, tensor, verify, include_host_layers
         )
-        self._m_dispatch.observe(
-            time.perf_counter() - start, path="simulate"
-        )
-        self._publish(self._snapshot())
-        return result
 
     def _simulate_impl(
         self,
@@ -1171,18 +1129,14 @@ class InferenceSession:
         if self._mapping_network():
             return [self.simulate(tensor, verify=verify) for tensor in tensors]
         results: List[Optional[NetworkRunResult]] = [None] * len(tensors)
-        group_results: Dict[Hashable, NetworkRunResult] = {}
-        for index, tensor in enumerate(tensors):
-            key = (tensor.shape, tensor.coords_digest())
-            result = group_results.get(key)
-            if result is None:
-                result = self._simulate(
-                    tensor,
-                    verify=verify,
-                    include_host_layers=include_host_layers,
-                )
-                group_results[key] = result
-            results[index] = result
+        for indices in _digest_groups(tensors).values():
+            result = self._simulate(
+                tensors[indices[0]],
+                verify=verify,
+                include_host_layers=include_host_layers,
+            )
+            for index in indices:
+                results[index] = result
         self._simulations += len(tensors)
         return results  # type: ignore[return-value]
 
@@ -1245,6 +1199,14 @@ class InferenceSession:
             cached = (param, codes, scale, bound > ACC_INT32.max_value)
             self._param_quant[id(param)] = cached
         return cached[1], cached[2], cached[3]
+
+
+def _digest_groups(tensors: Sequence[SparseTensor3D]) -> Dict[Hashable, List[int]]:
+    """Frame indices grouped by site set, groups in first-seen order."""
+    groups: Dict[Hashable, List[int]] = {}
+    for index, tensor in enumerate(tensors):
+        groups.setdefault((tensor.shape, tensor.coords_digest()), []).append(index)
+    return groups
 
 
 def _calibrate(values: np.ndarray, fmt: FixedPointFormat) -> Tuple[float, bool]:

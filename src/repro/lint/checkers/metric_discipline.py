@@ -9,10 +9,12 @@ rule closes both gaps project-wide:
 
 * every ``registry.counter/gauge/histogram("name", ...)`` declaration
   (string-literal name) must have at least one mutating call site
-  (``inc`` / ``dec`` / ``set`` / ``observe`` / ``sync_to``) somewhere in
-  the project — found through the attribute or variable the metric was
-  bound to, through method-local aliases of ``self.<attr>``, or chained
-  directly on the declaration;
+  (``inc`` / ``dec`` / ``set`` / ``observe``) somewhere in the project —
+  found through the attribute or variable the metric was bound to,
+  through method-local aliases of ``self.<attr>``, or chained directly
+  on the declaration.  A declaration with a ``read=`` keyword is a
+  reader counter, a view of a count its owner keeps, and is live by
+  construction;
 * that call site must be **reachable**: in module-level code, in a
   public function/method, or reachable from one through the call graph
   (functions referenced as bare callables count as entry points — a
@@ -43,7 +45,7 @@ from repro.lint.base import (
 from repro.lint.graph import module_name_for
 
 _DECL_METHODS = frozenset(("counter", "gauge", "histogram"))
-_MUTATORS = frozenset(("inc", "dec", "set", "observe", "sync_to"))
+_MUTATORS = frozenset(("inc", "dec", "set", "observe"))
 _READERS = frozenset(("value", "count", "sum", "quantile"))
 #: keywords that carry values, not labels
 _VALUE_KWARGS = frozenset(("amount", "value", "q"))
@@ -58,6 +60,8 @@ class _Declaration:
     col: int
     #: qualname of the enclosing function, or None at module level
     owner: Optional[str]
+    #: declared with ``read=``: reads its owner's count, never mutated
+    reads: bool
 
 
 @dataclass
@@ -200,6 +204,7 @@ class _ModuleScan(ast.NodeVisitor):
                     line=node.lineno,
                     col=node.col_offset,
                     owner=self._fn,
+                    reads=any(kw.arg == "read" for kw in node.keywords),
                 )
             )
         func = node.func
@@ -306,7 +311,7 @@ class MetricDisciplineChecker(Checker):
 
         seen_decl: Set[Tuple[str, str]] = set()
         for decl in declarations:
-            if (decl.rel, decl.name) in seen_decl:
+            if (decl.rel, decl.name) in seen_decl or decl.reads:
                 continue
             seen_decl.add((decl.rel, decl.name))
             if decl.name not in mutated:

@@ -1,19 +1,20 @@
 """``stats-drift``: CLI and docs must reference real stats fields.
 
 The observability surface (``SessionStats``, ``StreamStats``,
-``FrameResult``, ``ServeStats``) grows a field or two per PR, and the
-consumers live far from the dataclasses: ``cli.py`` formats them into
-report lines and ``docs/*.md`` names them in prose.  A renamed or
-removed field turns the CLI into an ``AttributeError`` at demo time and
-the docs into fiction — neither is caught by the type-less test
-surface.  This rule cross-checks both consumers against the dataclass
-definitions found in the linted sources:
+``FrameResult``, ``ServeStats``, ``ClusterStats``) grows a field or two
+per PR, and the consumers live far from the dataclasses: ``cli.py``
+formats them into report lines and ``docs/*.md`` names them in prose.
+A renamed or removed field turns the CLI into an ``AttributeError`` at
+demo time and the docs into fiction — neither is caught by the
+type-less test surface.  This rule cross-checks both consumers against
+the dataclass definitions found in the linted sources:
 
 * in ``cli.py``, receiver types are inferred from the construction
   idioms the CLI actually uses (``InferenceSession(...).stats``,
-  ``StreamingRunner(...).run(...)``, ``serve_frames(...)`` tuple
-  unpacking, ``for frame in stats.frames``) and every attribute access
-  on an inferred receiver must resolve to a field, property, or method;
+  ``RemoteShardBackend(...).stats``, ``StreamingRunner(...).run(...)``,
+  ``serve_frames(...)`` tuple unpacking, ``for frame in stats.frames``)
+  and every attribute access on an inferred receiver must resolve to a
+  field, property, or method;
 * in ``docs/*.md``, every ``ClassName.attr`` reference (including the
   ``ClassName.a / b / c`` shorthand the docs use) must resolve the same
   way;
@@ -45,11 +46,11 @@ from repro.lint.base import (
     register_checker,
 )
 
-_STATS_CLASSES = ("SessionStats", "StreamStats", "FrameResult", "ServeStats")
-
-_DOC_REF = re.compile(
-    r"\b(SessionStats|StreamStats|FrameResult|ServeStats)\.(\w+)"
+_STATS_CLASSES = (
+    "SessionStats", "StreamStats", "FrameResult", "ServeStats", "ClusterStats"
 )
+
+_DOC_REF = re.compile(rf"\b({'|'.join(_STATS_CLASSES)})\.(\w+)")
 # `X.a / b / c` continuation shorthand (possibly across backticks/lines).
 _DOC_CONTINUATION = re.compile(r"[ \t`]*/[ \t`\r\n]*(\w+)")
 
@@ -113,7 +114,7 @@ class _CliInference(ast.NodeVisitor):
 
     def __init__(self) -> None:
         # name -> stats class, or the sentinels "_session" / "_runner" /
-        # "_server" for producers of stats objects.
+        # "_server" / "_backend" for producers of stats objects.
         self.env: Dict[str, str] = {}
         self.accesses: List[ast.Attribute] = []
 
@@ -127,6 +128,8 @@ class _CliInference(ast.NodeVisitor):
                     return "_runner"
                 if func.id == "SessionServer":
                     return "_server"
+                if func.id == "RemoteShardBackend":
+                    return "_backend"
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr == "run"
@@ -141,6 +144,8 @@ class _CliInference(ast.NodeVisitor):
                     return "SessionStats"
                 if owner == "_server":
                     return "ServeStats"
+                if owner == "_backend":
+                    return "ClusterStats"
         return None
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -180,9 +185,9 @@ class _CliInference(ast.NodeVisitor):
 class StatsDriftChecker(Checker):
     rule = "stats-drift"
     description = (
-        "every SessionStats/StreamStats/FrameResult/ServeStats attribute "
-        "referenced in cli.py and docs/*.md exists on the dataclass, and "
-        "registered repro_* metric names stay in sync with "
+        "every SessionStats/StreamStats/FrameResult/ServeStats/ClusterStats "
+        "attribute referenced in cli.py and docs/*.md exists on the "
+        "dataclass, and registered repro_* metric names stay in sync with "
         "docs/observability.md"
     )
     scope = ("*cli.py",)

@@ -12,6 +12,11 @@ server and cluster tiers.  Design points, in order of importance:
   attribute check.  Counters and gauges keep counting regardless: they
   are the accounting backbone of ``ServeStats``/``ClusterStats`` and a
   plain locked add is already cheap.
+* **One home per count.**  A count that already lives elsewhere (a
+  session's frame count, a cache's hits) is exposed through a *reader*
+  counter, ``registry.counter(name, help, labels, read=fn)``: every
+  read calls ``fn``, so the registry never holds a second copy that
+  could drift, and ``inc`` on it raises.
 * **Small-tuple labels.**  A metric declares its label *names* once
   (``labels=("stage",)``); each observation supplies the label *values*
   and series are keyed on the resulting tuple.  Cardinality is expected
@@ -33,7 +38,7 @@ import json
 import math
 import re
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -138,7 +143,14 @@ class Metric:
         raise NotImplementedError
 
     def render_prometheus(self) -> List[str]:
-        raise NotImplementedError
+        """One sample line per series (counters, gauges)."""
+        lines = self._header()
+        for key, value in sorted(self.series().items()):
+            lines.append(
+                f"{_format_series(self.name, self.labels, key)} "
+                f"{_format_value(value)}"
+            )
+        return lines
 
     def to_dict(self) -> Dict[str, object]:
         with self._lock:
@@ -165,49 +177,49 @@ class Metric:
 class Counter(Metric):
     """Monotonic (per series) float counter.
 
-    ``sync_to`` exists so pre-existing python-side counters (cache
-    hits, frames run) can mirror their absolute totals into the
-    registry without double counting — the registry value is simply
-    pinned to the caller's source of truth.
+    Declared with ``read=fn`` it is a read-only view of a count kept by
+    its owner: ``fn()`` returns the value of an unlabelled counter, or a
+    ``{label-value tuple: value}`` mapping for a labelled one, and is
+    called on every ``value`` / ``total`` / ``series`` / render.  It
+    returns ``None`` once its owner is gone, and the counter then has no
+    series.  ``inc`` on a reader counter raises ``TypeError``.
     """
 
     kind = "counter"
 
-    def __init__(self, registry, name, help, labels):
+    def __init__(self, registry, name, help, labels,
+                 read: Optional[Callable[[], object]] = None):
         super().__init__(registry, name, help, labels)
         self._values: Dict[Tuple[str, ...], float] = {}
+        self._read = read
 
     def inc(self, amount: float = 1.0, **label_values: str) -> None:
+        if self._read is not None:
+            raise TypeError(
+                f"{self.name} reads its value from its owner; "
+                "it cannot be incremented"
+            )
         key = self._key(label_values)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def sync_to(self, value: float, **label_values: str) -> None:
-        key = self._key(label_values)
-        with self._lock:
-            self._values[key] = float(value)
-
     def value(self, **label_values: str) -> float:
-        key = self._key(label_values)
-        with self._lock:
-            return self._values.get(key, 0.0)
+        return self.series().get(self._key(label_values), 0.0)
 
     def total(self) -> float:
-        with self._lock:
-            return sum(self._values.values())
+        return sum(self.series().values())
 
     def series(self) -> Dict[Tuple[str, ...], float]:
-        with self._lock:
-            return dict(self._values)
-
-    def render_prometheus(self) -> List[str]:
-        lines = self._header()
-        for key, value in sorted(self.series().items()):
-            lines.append(
-                f"{_format_series(self.name, self.labels, key)} "
-                f"{_format_value(value)}"
-            )
-        return lines
+        read = self._read
+        if read is None:
+            with self._lock:
+                return dict(self._values)
+        values = read()
+        if values is None:
+            return {}
+        if not self.labels:
+            return {(): float(values)}
+        return {key: float(value) for key, value in values.items()}
 
 
 class Gauge(Metric):
@@ -240,15 +252,6 @@ class Gauge(Metric):
     def series(self) -> Dict[Tuple[str, ...], float]:
         with self._lock:
             return dict(self._values)
-
-    def render_prometheus(self) -> List[str]:
-        lines = self._header()
-        for key, value in sorted(self.series().items()):
-            lines.append(
-                f"{_format_series(self.name, self.labels, key)} "
-                f"{_format_value(value)}"
-            )
-        return lines
 
 
 class _HistogramSeries:
@@ -407,7 +410,8 @@ class MetricRegistry:
 
     Declaring the same name twice with the same kind/labels returns the
     existing metric (so a session and a server can both "declare" a
-    shared metric); conflicting redeclarations raise.
+    shared metric); conflicting redeclarations raise.  Re-declaring a
+    reader counter rebinds it to the newest ``read`` function.
     """
 
     def __init__(self, enabled: bool = True):
@@ -437,8 +441,18 @@ class MetricRegistry:
             return metric
 
     def counter(self, name: str, help: str = "",
-                labels: Iterable[str] = ()) -> Counter:
-        return self._declare(Counter, name, help, labels)
+                labels: Iterable[str] = (),
+                read: Optional[Callable[[], object]] = None) -> Counter:
+        """Declare a counter; ``read`` makes it a reader counter."""
+        with self._lock:
+            counter = self._declare(Counter, name, help, labels, read=read)
+            if (counter._read is None) != (read is None):
+                raise ValueError(
+                    f"metric {name!r} already registered as a "
+                    f"{'plain' if read is not None else 'reader'} counter"
+                )
+            counter._read = read
+            return counter
 
     def gauge(self, name: str, help: str = "",
               labels: Iterable[str] = ()) -> Gauge:

@@ -117,7 +117,7 @@ def format_address(address: Address) -> str:
 
 @dataclass
 class ClusterStats:
-    """Coordinator-side counters of one :class:`RemoteShardBackend`."""
+    """Snapshot of one :class:`RemoteShardBackend`'s coordinator counters."""
 
     groups_dispatched: int = 0
     frames_dispatched: int = 0
@@ -389,10 +389,10 @@ class RemoteShardBackend(ExecutionBackend):
     registry:
         The :class:`repro.obs.metrics.MetricRegistry` receiving the
         coordinator's ``repro_cluster_*`` telemetry: per-worker RTT
-        histograms, dispatch/reroute/rejoin counters mirroring
-        :attr:`stats`, and the per-worker queue-depth / warm-session
-        gauges fed by HEALTH reports.  ``None`` (default) creates a
-        private registry.
+        histograms, the dispatch/reroute/rejoin counters
+        :attr:`stats` snapshots, and the per-worker queue-depth /
+        warm-session gauges fed by HEALTH reports.  ``None`` (default)
+        creates a private registry.
     """
 
     name = "remote"
@@ -420,7 +420,6 @@ class RemoteShardBackend(ExecutionBackend):
         self.connect_timeout_s = float(connect_timeout_s)
         self.retries = int(retries)
         self.heartbeat_s = heartbeat_s
-        self.stats = ClusterStats()
         self.ring = HashRing(
             [parse_address(worker) for worker in workers], replicas=replicas
         )
@@ -472,6 +471,19 @@ class RemoteShardBackend(ExecutionBackend):
             "repro_cluster_worker_warm_sessions",
             "Warm spec sessions from the worker's last HEALTH report.",
             labels=("worker",),
+        )
+
+    @property
+    def stats(self) -> ClusterStats:
+        """The registry counters as a :class:`ClusterStats` snapshot;
+        backends sharing one registry share them."""
+        return ClusterStats(
+            groups_dispatched=int(self._m_groups.value()),
+            frames_dispatched=int(self._m_frames.value()),
+            workers_lost=int(self._m_workers_lost.value()),
+            groups_rerouted=int(self._m_reroutes.value()),
+            spec_syncs=int(self._m_spec_syncs.value()),
+            rejoins=int(self._m_rejoins.value()),
         )
 
     def _note_health(self, address: Address, report: dict) -> None:
@@ -558,7 +570,6 @@ class RemoteShardBackend(ExecutionBackend):
         """Declare one worker dead: drop its link, sync state, and count it."""
         if address in self._live:
             self._live.discard(address)
-            self.stats.workers_lost += 1
             self._m_workers_lost.inc()
         self._synced.pop(address, None)
         link = self._links.pop(address, None)
@@ -581,7 +592,6 @@ class RemoteShardBackend(ExecutionBackend):
                 self.request_timeout_s,
             )
             synced.add(digest)
-            self.stats.spec_syncs += 1
             self._m_spec_syncs.inc()
 
     # ------------------------------------------------------------------
@@ -596,10 +606,6 @@ class RemoteShardBackend(ExecutionBackend):
             self.spec_store.record_seed(
                 task.digest or task.coords.tobytes(), task.coords, task.shape
             )
-        self.stats.groups_dispatched += len(groups)
-        self.stats.frames_dispatched += sum(
-            task.features.shape[0] for task in groups
-        )
         self._m_groups.inc(len(groups))
         self._m_frames.inc(
             sum(task.features.shape[0] for task in groups)
@@ -681,7 +687,6 @@ class RemoteShardBackend(ExecutionBackend):
                         f"{format_address(address)} died with: {exc}"
                     ) from exc
                 reroutes += 1
-                self.stats.groups_rerouted += 1
                 self._m_reroutes.inc()
 
     # ------------------------------------------------------------------
@@ -724,7 +729,6 @@ class RemoteShardBackend(ExecutionBackend):
         )
         self._note_health(address, report)
         self._live.add(address)
-        self.stats.rejoins += 1
         self._m_rejoins.inc()
         return report
 

@@ -1,9 +1,13 @@
 """Tests for the unified InferenceSession, PlanCache, and batched execution."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import InferenceSession, PlanCache, QuantizationSpec
 from repro.nn import (
@@ -24,6 +28,7 @@ from repro.quant import (
     quantize,
     saturate,
 )
+from repro.obs.metrics import MetricRegistry
 from repro.quant.fixed_point import ACC_INT32
 from repro.sparse.coo import SparseTensor3D
 from repro.sparse.ops import concat_features
@@ -718,9 +723,47 @@ def test_session_metrics_follow_reset_stats():
     assert session.registry.get("repro_session_frames_total").value() == 0
 
 
-def test_session_disabled_registry_skips_timing():
-    from repro.obs.metrics import MetricRegistry
+#: Every ``repro_session_*`` counter series and the ``SessionStats``
+#: field it must equal.
+SESSION_COUNTERS = {
+    ("repro_session_frames_total", ()): "frames_run",
+    ("repro_session_batches_total", ()): "batches_run",
+    ("repro_session_estimates_total", ()): "estimates",
+    ("repro_session_simulations_total", ()): "simulations",
+    ("repro_session_cache_lookups_total", ("rulebook", "hit")): "rulebook_hits",
+    ("repro_session_cache_lookups_total", ("rulebook", "miss")): (
+        "rulebook_misses"
+    ),
+    ("repro_session_cache_lookups_total", ("plan", "hit")): "plan_hits",
+    ("repro_session_cache_lookups_total", ("plan", "miss")): "plan_misses",
+    ("repro_session_cache_lookups_total", ("mapping", "hit")): "mapping_hits",
+    ("repro_session_cache_lookups_total", ("mapping", "miss")): (
+        "mapping_misses"
+    ),
+    ("repro_session_delta_events_total", ("mapping", "patch")): (
+        "mapping_patches"
+    ),
+    ("repro_session_delta_events_total", ("mapping", "rebuild")): (
+        "mapping_rebuilds"
+    ),
+}
 
+
+def assert_counters_match_stats(session):
+    registry, stats = session.registry, session.stats
+    counters = {
+        metric.name
+        for metric in registry.metrics()
+        if metric.kind == "counter" and metric.name.startswith("repro_session_")
+    }
+    assert counters == {name for name, _ in SESSION_COUNTERS}
+    for (name, key), field_name in SESSION_COUNTERS.items():
+        metric = registry.get(name)
+        value = metric.value(**dict(zip(metric.labels, key)))
+        assert value == getattr(stats, field_name), (name, key)
+
+
+def test_session_disabled_registry_skips_timing():
     registry = MetricRegistry(enabled=False)
     session = small_session(registry=registry)
     frame = random_sparse_tensor(
@@ -730,6 +773,85 @@ def test_session_disabled_registry_skips_timing():
     assert registry.get("repro_session_dispatch_seconds").count(
         path="run"
     ) == 0
+    # Counters count with timing off: they read the session's stats.
+    assert registry.get("repro_session_frames_total").value() == 1
+    assert_counters_match_stats(session)
     # Bit-identical output with telemetry on.
     reference = small_session().run(frame)
     assert np.array_equal(out_disabled.features, reference.features)
+
+
+def test_shared_registry_counters_read_the_newest_session():
+    registry = MetricRegistry()
+    older = small_session(registry=registry)
+    newer = small_session(registry=registry)
+    older.run(frame(5))
+    older.run(frame(5))
+    newer.run(frame(5))
+    assert older.stats.frames_run == 2
+    assert registry.get("repro_session_frames_total").value() == 1
+    assert_counters_match_stats(newer)
+    # The dispatch histograms are shared and pool both sessions.
+    dispatch = registry.get("repro_session_dispatch_seconds")
+    assert dispatch.count(path="run") == 3
+
+
+def test_session_counters_hold_the_session_weakly():
+    registry = MetricRegistry()
+    session = small_session(registry=registry)
+    session.run(frame(6))
+    owner = weakref.ref(session)
+    gc.disable()
+    try:
+        del session
+        assert owner() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+    frames = registry.get("repro_session_frames_total")
+    assert frames.series() == {} and frames.value() == 0
+    samples = registry.render().splitlines()
+    assert not any(line.startswith("repro_session_frames") for line in samples)
+
+
+HISTORY_CFG = UNetConfig(in_channels=2, num_classes=4, base_channels=4, levels=2)
+_HISTORY_BASE = random_sparse_tensor(seed=81, shape=(12, 12, 12), nnz=30, channels=2)
+#: Two feature variants of one site set, the set with one site dropped
+#: (a delta-patchable near miss for ``map``), and an unrelated set.
+HISTORY_FRAMES = [
+    _HISTORY_BASE,
+    _HISTORY_BASE.with_features(_HISTORY_BASE.features + 1.0),
+    SparseTensor3D(
+        _HISTORY_BASE.coords[1:], _HISTORY_BASE.features[1:], _HISTORY_BASE.shape
+    ),
+    random_sparse_tensor(seed=82, shape=(12, 12, 12), nnz=30, channels=2),
+]
+HISTORY_STEPS = {
+    "run": lambda session, i: session.run(HISTORY_FRAMES[i]),
+    "run_batch": lambda session, i: session.run_batch(
+        [HISTORY_FRAMES[i], HISTORY_FRAMES[(i + 1) % 4], HISTORY_FRAMES[i]]
+    ),
+    "estimate": lambda session, i: session.estimate(HISTORY_FRAMES[i]),
+    "simulate": lambda session, i: session.simulate(HISTORY_FRAMES[i]),
+    "map": lambda session, i: session.map("knn", HISTORY_FRAMES[i], k=4),
+    "reset_stats": lambda session, i: session.reset_stats(),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@settings(max_examples=20)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(sorted(HISTORY_STEPS)), st.integers(0, 3)),
+        max_size=6,
+    )
+)
+def test_session_counters_equal_stats_after_every_step(enabled, steps):
+    session = InferenceSession(
+        unet_config=HISTORY_CFG,
+        delta=True,
+        registry=MetricRegistry(enabled=enabled),
+    )
+    assert_counters_match_stats(session)
+    for op, index in steps:
+        HISTORY_STEPS[op](session, index)
+        assert_counters_match_stats(session)

@@ -501,6 +501,42 @@ def test_stats_drift_checks_docs_including_slash_shorthand(tmp_path):
     assert any("SessionStats.made_up" in m for m in messages)
 
 
+def test_stats_drift_checks_cluster_stats_in_docs_and_cli(tmp_path):
+    write(
+        tmp_path,
+        "cluster.py",
+        """\
+        from dataclasses import dataclass
+
+
+        @dataclass
+        class ClusterStats:
+            workers_lost: int = 0
+            rejoins: int = 0
+        """,
+    )
+    write(
+        tmp_path,
+        "cli.py",
+        """\
+        def report():
+            backend = RemoteShardBackend()
+            stats = backend.stats
+            print(stats.workers_lost, stats.workers_found)
+        """,
+    )
+    write(
+        tmp_path,
+        "docs/cluster.md",
+        "Loss counts once in `ClusterStats.workers_lost / rejoins / evictions`.\n",
+    )
+    report = run_lint(tmp_path, rules=["stats-drift"])
+    messages = [v.message for v in rules_of(report, "stats-drift")]
+    assert len(messages) == 2
+    assert any("ClusterStats.workers_found" in m for m in messages)
+    assert any("ClusterStats.evictions" in m for m in messages)
+
+
 def test_stats_drift_skips_classes_outside_the_project(tmp_path):
     write(
         tmp_path,
@@ -1196,6 +1232,35 @@ def test_metric_discipline_star_kwargs_skip_label_check(tmp_path):
         ),
     )
     assert rules_of(report, "metric-discipline") == []
+
+
+def test_metric_discipline_reader_counter_is_live(tmp_path):
+    report = metric_project(
+        tmp_path,
+        extra_decl=(
+            '        registry.counter("repro_frames_total", "frames",\n'
+            "                         read=lambda: self.frames)\n"
+        ),
+    )
+    assert rules_of(report, "metric-discipline") == []
+
+
+def test_metric_discipline_reader_counter_labels_still_checked(tmp_path):
+    report = metric_project(
+        tmp_path,
+        extra_decl=(
+            "        self._m_hits = registry.counter(\n"
+            '            "repro_hits_total", "hits", labels=("cache",),\n'
+            "            read=lambda: {}\n"
+            "        )\n"
+        ),
+        extra_body=(
+            "\n    def plan_hits(self):\n"
+            '        return self._m_hits.value(result="hit")\n'
+        ),
+    )
+    (found,) = rules_of(report, "metric-discipline")
+    assert "repro_hits_total declared with labels (cache)" in found.message
 
 
 def test_metric_discipline_flags_unreachable_only_mutation(tmp_path):

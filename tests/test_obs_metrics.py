@@ -69,12 +69,58 @@ def test_counter_inc_value_total_with_labels():
     assert c.series() == {("plan", "hit"): 1.0, ("plan", "miss"): 3.0}
 
 
-def test_counter_sync_to_pins_absolute_value():
+def test_reader_counter_reads_its_owner_live():
+    owner = {"frames": 0, "plan_hits": 0, "plan_misses": 0}
+    reg = MetricRegistry(enabled=False)  # readers ignore the flag
+    frames = reg.counter(
+        "repro_frames_total", "frames", read=lambda: owner["frames"]
+    )
+    lookups = reg.counter(
+        "repro_lookups_total",
+        "lookups",
+        labels=("cache", "result"),
+        read=lambda: {
+            ("plan", "hit"): owner["plan_hits"],
+            ("plan", "miss"): owner["plan_misses"],
+        },
+    )
+    owner.update(frames=3, plan_hits=2, plan_misses=5)
+    assert frames.value() == 3 and frames.total() == 3
+    assert lookups.value(cache="plan", result="hit") == 2
+    assert lookups.value(cache="rulebook", result="hit") == 0
+    assert lookups.total() == 7
+    text = reg.render()
+    assert "repro_frames_total 3\n" in text
+    assert 'repro_lookups_total{cache="plan",result="miss"} 5' in text
+    doc = json.loads(reg.render("json"))
+    assert doc["repro_frames_total"]["series"] == {"": 3.0}
+    assert doc["repro_lookups_total"]["series"] == {
+        "plan,hit": 2.0, "plan,miss": 5.0,
+    }
+    owner["frames"] = 4
+    assert reg.snapshot()["repro_frames_total"]["series"] == {"": 4.0}
+    with pytest.raises(TypeError, match="cannot be incremented"):
+        frames.inc()
+    with pytest.raises(TypeError, match="cannot be incremented"):
+        lookups.inc(cache="plan", result="hit")
+
+
+def test_reader_counter_redeclaration_rebinds_and_conflicts_raise():
     reg = MetricRegistry()
-    c = reg.counter("repro_frames_total")
-    c.sync_to(7)
-    c.sync_to(9)
-    assert c.value() == 9  # pinned, not accumulated
+    first = reg.counter("repro_frames_total", read=lambda: 1)
+    second = reg.counter("repro_frames_total", read=lambda: 2)
+    assert second is first
+    assert first.value() == 2  # the newest owner is read
+    with pytest.raises(ValueError, match="already registered"):
+        reg.gauge("repro_frames_total")
+    with pytest.raises(ValueError, match="already registered"):
+        reg.counter("repro_frames_total", labels=("cache",), read=dict)
+    with pytest.raises(ValueError, match="reader counter"):
+        reg.counter("repro_frames_total")
+    reg.counter("repro_plain_total").inc()
+    with pytest.raises(ValueError, match="plain counter"):
+        reg.counter("repro_plain_total", read=lambda: 0)
+    assert reg.get("repro_frames_total").value() == 2
 
 
 def test_counter_label_mismatch_raises():

@@ -34,6 +34,25 @@ def request_mix(count=6):
     return [frame(1 + (i % 2), nnz=40 + 5 * (i % 2)) for i in range(count)]
 
 
+#: Each ``repro_cluster_*`` counter and the ``ClusterStats`` field that
+#: snapshots it.
+CLUSTER_COUNTERS = {
+    "repro_cluster_groups_total": "groups_dispatched",
+    "repro_cluster_frames_total": "frames_dispatched",
+    "repro_cluster_workers_lost_total": "workers_lost",
+    "repro_cluster_reroutes_total": "groups_rerouted",
+    "repro_cluster_spec_syncs_total": "spec_syncs",
+    "repro_cluster_rejoins_total": "rejoins",
+}
+
+
+def assert_cluster_counters_match_stats(backend):
+    stats = backend.stats
+    for name, field_name in CLUSTER_COUNTERS.items():
+        value = backend.registry.get(name).value()
+        assert value == getattr(stats, field_name), name
+
+
 @pytest.fixture(scope="module")
 def fleet():
     with LocalWorkerFleet.spawn(2) as fleet:
@@ -275,6 +294,7 @@ def test_worker_loss_reroutes_and_rejoin_is_warm():
             assert backend.stats.workers_lost == 1
             assert backend.stats.groups_rerouted >= 1
             assert len(backend.live_workers) == 1
+            assert_cluster_counters_match_stats(backend)
 
             # Revive it: rejoin replays the spec blob and plan seeds, so
             # the health report already shows warm state.
@@ -287,6 +307,10 @@ def test_worker_loss_reroutes_and_rejoin_is_warm():
             outs = session.run_batch(requests)
             for out, exp in zip(outs, expected):
                 assert np.array_equal(out.features, exp)
+            stats = backend.stats
+            assert (stats.workers_lost, stats.rejoins) == (1, 1)
+            assert stats.frames_dispatched == 3 * len(requests)
+            assert_cluster_counters_match_stats(backend)
         finally:
             backend.close()
 
@@ -362,15 +386,8 @@ def test_cluster_counters_mirror_stats(fleet):
         session.run_batch(request_mix(4))
         reg = backend.registry
         stats = backend.stats
-        assert reg.get("repro_cluster_groups_total").value() == (
-            stats.groups_dispatched
-        )
-        assert reg.get("repro_cluster_frames_total").value() == (
-            stats.frames_dispatched
-        )
-        assert reg.get("repro_cluster_spec_syncs_total").value() == (
-            stats.spec_syncs
-        )
+        assert stats.frames_dispatched == 4
+        assert_cluster_counters_match_stats(backend)
         rtt = reg.get("repro_cluster_rtt_seconds")
         total = sum(
             rtt.count(worker=format_address(addr))
