@@ -641,8 +641,8 @@ class InferenceSession:
             "Delta-cache digest misses served by patching vs rebuilt.",
             labels=("cache", "event"),
             read=read(lambda s: {
-                ("mapping", "patch"): s.stats.mapping_patches,
-                ("mapping", "rebuild"): s.stats.mapping_rebuilds,
+                ("mapping", "patch"): getattr(s.mapping_cache, "patches", 0),
+                ("mapping", "rebuild"): getattr(s.mapping_cache, "rebuilds", 0),
             }),
         )
         self._m_dispatch = reg.histogram(

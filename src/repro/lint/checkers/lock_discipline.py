@@ -11,8 +11,10 @@ lock.  This rule proves the discipline statically, per class hierarchy:
 * a class participates when it (or a project-resolved base) assigns
   ``self._lock``;
 * an attribute is **guarded** when some method outside ``__init__``
-  mutates it inside ``with self._lock:`` — the code's own locking is the
-  spec, no annotations needed;
+  mutates it inside ``with self._lock:`` — in the class that assigns the
+  lock or in any class below it, siblings included (``Gauge.inc``
+  locking ``_values`` guards ``Counter._values`` too) — the code's own
+  locking is the spec, no annotations needed;
 * every other mutation of a guarded attribute must also be inside
   ``with self._lock:``, *unless* the call graph proves the enclosing
   method is a private helper whose every known call site already holds
@@ -214,15 +216,21 @@ class LockDisciplineChecker(Checker):
                         source, module, node
                     )
 
+        chains = {key: graph.base_chain(*key) or [key] for key in scans}
         violations: List[Violation] = []
         for (module, cls_name), scan in sorted(scans.items()):
-            chain = graph.base_chain(module, cls_name) or [(module, cls_name)]
-            family = [scans[key] for key in chain if key in scans]
-            if not any(s.assigns_lock for s in family):
+            owners = [
+                key
+                for key in chains[(module, cls_name)]
+                if key in scans and scans[key].assigns_lock
+            ]
+            if not owners:
                 continue  # lock-free class: single-task by design
+            # Every class below the farthest lock owner shares its lock.
             guarded: Set[str] = {
                 m.attr
-                for s in family
+                for key, s in scans.items()
+                if owners[-1] in chains[key]
                 for m in s.mutations
                 if m.in_lock and m.method != "__init__"
             }

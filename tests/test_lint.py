@@ -1018,6 +1018,86 @@ def test_lock_discipline_sees_inherited_lock(tmp_path):
     assert "Child.drop" in found.message
 
 
+SIBLING_CLASSES = """\
+import threading
+
+
+class Metric:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+
+class Gauge(Metric):
+    def __init__(self):
+        super().__init__()
+        self._values = {{}}
+
+    def inc(self, key):
+        with self._lock:
+            self._values[key] = self._values.get(key, 0) + 1
+
+
+class Counter(Metric):
+    def __init__(self):
+        super().__init__()
+        self._values = {{}}
+
+    def inc(self, key):
+        {counter_body}
+"""
+
+
+@pytest.mark.parametrize(
+    "counter_body, flagged",
+    [
+        ("self._values[key] = 1", True),
+        ("with self._lock:\n            self._values[key] = 1", False),
+    ],
+)
+def test_lock_discipline_guard_spans_sibling_subclasses(
+    tmp_path, counter_body, flagged
+):
+    # Counter never locks _values itself: the lock's owner, Metric, is
+    # shared with Gauge, whose locked write makes _values guarded.
+    write(
+        tmp_path,
+        "obs/metrics.py",
+        SIBLING_CLASSES.format(counter_body=counter_body),
+    )
+    report = run_lint(tmp_path, rules=["lock-discipline"])
+    found = rules_of(report, "lock-discipline")
+    assert [v.message.split(" mutates")[0] for v in found] == (
+        ["self._values is guarded by self._lock but Counter.inc"]
+        if flagged
+        else []
+    )
+
+
+def test_lock_discipline_flags_unlocked_counter_inc(tmp_path):
+    # The registry's own Counter.inc, its write moved out of the lock:
+    # the counter race this rule exists for must not pass unflagged.
+    source = (REPO_ROOT / "src" / "repro" / "obs" / "metrics.py").read_text()
+    locked = (
+        "        with self._lock:\n"
+        "            self._values[key] = self._values.get(key, 0.0) + amount\n"
+    )
+    start = source.index("    def inc(", source.index("class Counter("))
+    at = source.index(locked, start)
+    unlocked = (
+        source[:at]
+        + "        self._values[key] = self._values.get(key, 0.0) + amount\n"
+        + source[at + len(locked):]
+    )
+    (tmp_path / "obs").mkdir()
+    (tmp_path / "obs" / "metrics.py").write_text(source)
+    report = run_lint(tmp_path, rules=["lock-discipline"])
+    assert rules_of(report, "lock-discipline") == []
+    (tmp_path / "obs" / "metrics.py").write_text(unlocked)
+    report = run_lint(tmp_path, rules=["lock-discipline"])
+    (found,) = rules_of(report, "lock-discipline")
+    assert "Counter.inc" in found.message
+
+
 # ---------------------------------------------------------------------------
 # wire-drift
 
