@@ -30,7 +30,6 @@ small coordinate churn (the diff is :mod:`repro.engine.delta`).  Sessions surfac
 
 from repro.engine.backend import (
     BackendCapabilities,
-    ExecPlan,
     ExecutionBackend,
     NumpyFusedBackend,
     ScipySparseBackend,
@@ -87,7 +86,6 @@ __all__ = [
     "LayerEstimate",
     "NetworkEstimate",
     "ExecutionBackend",
-    "ExecPlan",
     "BackendCapabilities",
     "NumpyFusedBackend",
     "ScipySparseBackend",

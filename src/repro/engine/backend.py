@@ -16,10 +16,11 @@ Two backends ship with the repository:
     arithmetic every other backend must match bit for bit.
 
 ``scipy`` — :class:`ScipySparseBackend`
-    Lowers a rulebook's gather and scatter stages into cached CSR
-    matrices (one selection matrix over the input rows, one accumulation
-    matrix over the match rows) multiplied against the feature block.
-    Degrades gracefully to the numpy engine when scipy is absent.
+    Lowers a rulebook's gather and scatter stages into CSR matrices
+    memoized on the rulebook (one selection matrix over the input rows,
+    one accumulation matrix over the match rows) multiplied against the
+    feature block.  Degrades gracefully to the numpy engine when scipy
+    is absent.
 
 Fanning :meth:`repro.engine.session.InferenceSession.run_batch` digest
 groups out to warm worker sessions is the job of the TCP cluster tier:
@@ -30,8 +31,8 @@ groups out to warm worker sessions is the job of the TCP cluster tier:
 
 Backends compute one frame at a time: :meth:`ExecutionBackend.execute`
 takes one frame's ``(N, Cin)`` features in a float dtype.  A
-``run_batch`` digest group shares its plan, and each of its frames is
-executed alone on it.
+``run_batch`` digest group shares its rulebooks, and each of its frames
+is executed alone on them.
 
 Every backend is **bit-identical** to ``numpy`` for all three session
 precisions (float64 / float32 / int), cache-cold and cache-warm; the
@@ -40,8 +41,6 @@ contract is asserted in ``tests/test_engine_backend.py``.
 Writing a backend
 -----------------
 Subclass :class:`ExecutionBackend`, implement :meth:`~ExecutionBackend.
-prepare` (rulebook -> backend-specific :class:`ExecPlan`, memoized for
-you by :meth:`~ExecutionBackend.plan_for`), :meth:`~ExecutionBackend.
 execute` and :meth:`~ExecutionBackend.capabilities`; then::
 
     register_backend("mine", MyBackend)
@@ -56,7 +55,7 @@ import hashlib
 import pickle
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,30 +105,17 @@ def float_result_type(in_features: np.ndarray, weights: np.ndarray) -> np.dtype:
     return dtype
 
 
-@dataclass(frozen=True)
-class ExecPlan:
-    """Backend-prepared execution state of one rulebook.
-
-    Subclasses carry whatever the backend precomputes from the matching
-    result (CSR operators, device buffers, ...).  Plans depend only on
-    the rulebook — never on features or weights — so they are built once
-    per rulebook and reused across layers, frames, and batches
-    (:meth:`ExecutionBackend.plan_for` memoizes them per backend).
-    """
-
-    backend: str
-    total_matches: int
-
-
 class ExecutionBackend:
     """Abstract compute engine: evaluates rulebooks against features.
 
-    The two required operations mirror the fused engine's signature
-    (:func:`repro.nn.functional.apply_rulebook`), so any consumer that
-    could call the functional engine can call a backend instead:
-
-    * :meth:`prepare` — lower one rulebook into an :class:`ExecPlan`;
-    * :meth:`execute` — ``(N, Cin)`` features, one frame.
+    The one required compute operation mirrors the fused engine's
+    signature (:func:`repro.nn.functional.apply_rulebook`), so any
+    consumer that could call the functional engine can call a backend
+    instead: :meth:`execute` takes one frame's ``(N, Cin)`` features.
+    Whatever a backend derives from the matching result (CSR operators,
+    device buffers, ...) belongs on the rulebook beside its
+    :class:`~repro.nn.rulebook.GatherScatterPlan`, so it lives exactly as
+    long as the rulebook the session's caches keep.
 
     Outputs must be bit-identical to the fused numpy engine for every
     dtype the session produces (float64 and float32; the ``int``
@@ -141,44 +127,6 @@ class ExecutionBackend:
 
     #: Registry name; subclasses override.
     name: str = "abstract"
-
-    #: Bound on memoized plans: streaming workloads produce a fresh
-    #: rulebook per site set, so the memo must evict like the caches
-    #: above it rather than pin every rulebook ever executed.
-    plan_capacity: int = 64
-
-    def __init__(self) -> None:
-        # id-keyed LRU memo pinning the rulebook to keep ids stable (the
-        # same pattern as the session's parameter casts).
-        self._plans: "OrderedDict[int, Tuple[Rulebook, ExecPlan]]" = (
-            OrderedDict()
-        )
-
-    # ------------------------------------------------------------------
-    # Plan preparation
-    # ------------------------------------------------------------------
-    def prepare(self, rulebook: Rulebook) -> ExecPlan:
-        """Lower ``rulebook`` into this backend's execution state."""
-        raise NotImplementedError
-
-    def plan_for(self, rulebook: Rulebook) -> ExecPlan:
-        """Memoized :meth:`prepare` — one plan per live rulebook, LRU-bounded."""
-        key = id(rulebook)
-        cached = self._plans.get(key)
-        if cached is None or cached[0] is not rulebook:
-            plan = self.prepare(rulebook)
-            self._store_plan(rulebook, plan)
-            return plan
-        self._plans.move_to_end(key)
-        return cached[1]
-
-    def _store_plan(self, rulebook: Rulebook, plan: ExecPlan) -> None:
-        """Insert ``plan`` into the LRU memo as most-recently-used."""
-        key = id(rulebook)
-        self._plans[key] = (rulebook, plan)
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.plan_capacity:
-            self._plans.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Execution
@@ -203,11 +151,12 @@ class ExecutionBackend:
         precision: str,
         quantization,
         groups: Sequence["GroupTask"],
-    ) -> List[np.ndarray]:
+    ) -> List[List[np.ndarray]]:
         """Execute whole ``run_batch`` digest groups (sharded backends).
 
-        Only meaningful when ``capabilities().sharded`` is true; the
-        base implementation refuses so mis-dispatch fails loudly.
+        Returns one list of ``(N, classes)`` outputs per group, in frame
+        order.  Only meaningful when ``capabilities().sharded`` is true;
+        the base implementation refuses so mis-dispatch fails loudly.
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not shard batch groups"
@@ -222,7 +171,6 @@ class ExecutionBackend:
 
     def close(self) -> None:
         """Release external resources (worker connections, devices).  Idempotent."""
-        self._plans.clear()
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -237,11 +185,6 @@ class ExecutionBackend:
 # ----------------------------------------------------------------------
 # numpy — the fused reference engine
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FusedExecPlan(ExecPlan):
-    """The fused engine's plan is the rulebook's own gather/scatter plan."""
-
-
 class NumpyFusedBackend(ExecutionBackend):
     """The default backend: fused vectorized gather-GEMM-scatter.
 
@@ -252,12 +195,6 @@ class NumpyFusedBackend(ExecutionBackend):
     """
 
     name = "numpy"
-
-    def prepare(self, rulebook: Rulebook) -> ExecPlan:
-        plan = rulebook.plan()  # memoized on the rulebook itself
-        return FusedExecPlan(
-            backend=self.name, total_matches=plan.total_matches
-        )
 
     def execute(self, rulebook, in_features, weights, num_outputs, stats=None):
         float_result_type(in_features, weights)
@@ -275,62 +212,8 @@ class NumpyFusedBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 # scipy — CSR gather/scatter operators
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CsrExecPlan(ExecPlan):
-    """CSR lowering of one rulebook.
-
-    ``gather`` is a ``(total_matches, num_inputs)`` selection matrix
-    (one unit entry per row, offset-major row order) and ``scatter`` a
-    ``(num_outputs, total_matches)`` accumulation matrix (unit entries;
-    within each output row the stored column indices ascend, i.e. run in
-    offset-major order).  Multiplying them against the feature block
-    reproduces the fused engine bit for bit: unit products are exact,
-    and CSR row accumulation visits matches in exactly the per-offset
-    order of the fused scatter loop.
-
-    ``segment_starts`` / ``active_offsets`` drive the per-offset GEMM in
-    between, identical to the fused engine's contiguous blocks.
-    ``casts`` holds per-dtype copies of the operators (features are
-    float64 or float32 depending on session precision).
-    """
-
-    segment_starts: Optional[np.ndarray] = None
-    active_offsets: Optional[Tuple[int, ...]] = None
-    gather: object = None
-    scatter: object = None
-    casts: Dict[str, Tuple[object, object]] = field(
-        default_factory=dict, repr=False
-    )
-
-    def operators(self, dtype: np.dtype) -> Tuple[object, object]:
-        """The (gather, scatter) pair cast to ``dtype`` (memoized).
-
-        Casts share the base operators' index arrays (only the unit-entry
-        data array is re-typed), so materializing a precision costs one
-        ``total_matches``-sized allocation instead of three copies per
-        operator.  The base dtype returns the operators themselves.
-        """
-        key = np.dtype(dtype).str
-        pair = self.casts.get(key)
-        if pair is None:
-            if np.dtype(dtype) == self.gather.dtype:
-                pair = (self.gather, self.scatter)
-            else:
-                pair = (
-                    _cast_operator(self.gather, dtype),
-                    _cast_operator(self.scatter, dtype),
-                )
-            self.casts[key] = pair
-        return pair
-
-
-def _cast_operator(operator, dtype: np.dtype):
-    """``dtype`` view of a unit-entry CSR operator, sharing its indices."""
-    return operator._with_data(operator.data.astype(dtype), copy=False)
-
-
 class ScipySparseBackend(ExecutionBackend):
-    """Gather/scatter as cached CSR operators multiplied onto features.
+    """Gather/scatter as CSR operators multiplied onto features.
 
     ``out = S @ blockdiag_gemm(G @ F)``: the gather matrix ``G`` selects
     the (offset-major) matched input rows, the per-offset GEMMs run on
@@ -348,7 +231,6 @@ class ScipySparseBackend(ExecutionBackend):
     name = "scipy"
 
     def __init__(self) -> None:
-        super().__init__()
         self._sparse = _scipy_sparse
         self._fallback = NumpyFusedBackend() if self._sparse is None else None
 
@@ -357,92 +239,50 @@ class ScipySparseBackend(ExecutionBackend):
         """True when scipy is absent and the numpy engine is substituting."""
         return self._fallback is not None
 
-    def prepare(self, rulebook: Rulebook) -> ExecPlan:
-        plan = rulebook.plan()
-        if self.degraded:
-            return FusedExecPlan(
-                backend=self.name, total_matches=plan.total_matches
-            )
-        total = plan.total_matches
-        num_inputs = rulebook.num_inputs
-        num_outputs = rulebook.num_outputs
-        if total:
-            operators = self._lower_operators(plan, num_inputs, num_outputs)
-            if operators is None:
-                operators = self._lower_operators_coo(
-                    plan, num_inputs, num_outputs
-                )
-            gather, scatter = operators
-        else:
-            gather = scatter = None
-        return CsrExecPlan(
-            backend=self.name,
-            total_matches=total,
-            segment_starts=plan.segment_starts,
-            active_offsets=tuple(plan.active_offsets),
-            gather=gather,
-            scatter=scatter,
-        )
+    def operators(self, rulebook: Rulebook, dtype) -> Tuple[object, object]:
+        """The rulebook's ``(gather, scatter)`` CSR pair in ``dtype``.
 
-    def _lower_operators(self, plan_gs, num_inputs, num_outputs):
-        """Canonical CSR lowering of a gather/scatter plan's flat arrays.
+        ``gather`` is a ``(total_matches, num_inputs)`` selection matrix
+        (one unit entry per row, offset-major row order) and ``scatter``
+        a ``(num_outputs, total_matches)`` accumulation matrix whose
+        column indices ascend within each row, i.e. run in offset-major
+        order.  Unit products are exact and CSR row accumulation visits
+        matches in the fused scatter loop's per-offset order, so the
+        products reproduce the fused engine bit for bit.
 
-        The gather assembles directly from the offset-major ``in_rows``; the
-        scatter assembles through its trivial CSC form — one unit entry
-        per column, at the match's output row, columns ascending in
-        offset-major order — converted to sorted CSR by scipy's
-        ``tocsr``, skipping the COO round-trip and the per-row index
-        sort.
-
-        Returns ``None`` when int32 indices cannot address ``total``
-        matches — callers fall back to
-        :meth:`_lower_operators_coo`.
+        The pair is memoized on the rulebook per dtype, so it lives
+        exactly as long as the rulebook.  The gather assembles directly
+        from the offset-major input rows; the scatter assembles through
+        its trivial CSC form (one unit entry per column, at the match's
+        output row) and scipy's ``tocsr`` sorts it into CSR.  Rulebooks
+        past int32 index reach raise :class:`ValueError` before anything
+        is allocated.
         """
-        total = plan_gs.total_matches
-        if total == 0 or total + 1 > np.iinfo(np.int32).max:
-            return None
-        # The unit entries and the 0..total ramp are never written, so
-        # both operators share them.
-        ones = np.ones(total, dtype=np.float64)
-        unit_indptr = np.arange(total + 1, dtype=np.int32)
-        rows32 = np.empty(total, dtype=np.int32)
-        position = 0
-        for k in plan_gs.active_offsets:
-            col = plan_gs.out_rows[k]
-            rows32[position:position + len(col)] = col  # concat + cast
-            position += len(col)
-        in_rows32 = np.empty(total, dtype=np.int32)  # plan-owned
-        in_rows32[:] = plan_gs.in_rows
-        gather = self._sparse.csr_matrix(
-            (ones, in_rows32, unit_indptr),
-            shape=(total, max(num_inputs, 1)),
-        )
-        scatter = self._sparse.csc_matrix(
-            (ones, rows32, unit_indptr), shape=(max(num_outputs, 1), total)
-        ).tocsr()
-        try:
-            scatter.has_sorted_indices = True  # emitted sorted per row
-        except (AttributeError, TypeError):  # pragma: no cover
-            pass
-        return gather, scatter
-
-    def _lower_operators_coo(self, plan_gs, num_inputs, num_outputs):
-        """COO-constructed operators: the fallback beyond int32 reach."""
-        total = plan_gs.total_matches
-        ones = np.ones(total, dtype=np.float64)
-        gather = self._sparse.csr_matrix(
-            (ones, plan_gs.in_rows, np.arange(total + 1)),
-            shape=(total, max(num_inputs, 1)),
-        )
-        out_rows = np.concatenate(
-            [plan_gs.out_rows[k] for k in plan_gs.active_offsets]
-        )
-        scatter = self._sparse.csr_matrix(
-            (ones, (out_rows, np.arange(total))),
-            shape=(max(num_outputs, 1), total),
-        )
-        scatter.sort_indices()  # offset-major accumulation order
-        return gather, scatter
+        dtype = np.dtype(dtype)
+        pair = rulebook._csr.get(dtype)
+        if pair is None:
+            total = rulebook.plan().total_matches
+            if total + 1 > np.iinfo(np.int32).max:
+                raise ValueError(
+                    f"rulebook has {total} matches, past the int32 index "
+                    "reach of the scipy backend's CSR operators; use "
+                    'backend="numpy"'
+                )
+            pairs = rulebook.flat_pairs()
+            # The unit entries and the 0..total ramp are never written,
+            # so both operators share them.
+            ones = np.ones(total, dtype=dtype)
+            unit_indptr = np.arange(total + 1, dtype=np.int32)
+            gather = self._sparse.csr_matrix(
+                (ones, pairs[0].astype(np.int32), unit_indptr),
+                shape=(total, max(rulebook.num_inputs, 1)),
+            )
+            scatter = self._sparse.csc_matrix(
+                (ones, pairs[1].astype(np.int32), unit_indptr),
+                shape=(max(rulebook.num_outputs, 1), total),
+            ).tocsr()
+            pair = rulebook._csr[dtype] = (gather, scatter)
+        return pair
 
     def execute(self, rulebook, in_features, weights, num_outputs, stats=None):
         if self.degraded:
@@ -453,10 +293,10 @@ class ScipySparseBackend(ExecutionBackend):
         weights = np.asarray(weights)
         out_channels = weights.shape[2]
         dtype = float_result_type(in_features, weights)
-        plan = self.plan_for(rulebook)
+        plan = rulebook.plan()
         if plan.total_matches == 0:
             return np.zeros((num_outputs, out_channels), dtype=dtype)
-        gather_op, scatter_op = plan.operators(dtype)
+        gather_op, scatter_op = self.operators(rulebook, dtype)
         weights = weights.astype(dtype, copy=False)
         features = in_features.astype(dtype, copy=False)
 
@@ -500,17 +340,18 @@ class ScipySparseBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GroupTask:
-    """One ``run_batch`` digest group: shared site set, stacked features.
+    """One ``run_batch`` digest group: a shared site set and its frames.
 
-    ``digest`` is the group's coordinate digest; a sharded backend
-    routes on it so the same site set always lands on the same worker
-    (whose plan cache is then warm for it).
+    ``features`` holds each frame's raw ``(N, C)`` features, in batch
+    order.  ``digest`` is the group's coordinate digest; a sharded
+    backend routes on it so the same site set always lands on the same
+    worker (whose plan cache is then warm for it).
     """
 
     coords: np.ndarray
     shape: Tuple[int, int, int]
-    features: np.ndarray  # (B, N, C), raw per-frame features stacked
-    digest: bytes = b""
+    features: Tuple[np.ndarray, ...]
+    digest: bytes
 
 
 class ShardSpecStore:
@@ -527,8 +368,8 @@ class ShardSpecStore:
 
     Pickling the network is O(weight bytes); the blob is memoized behind
     two guards.  The warm path compares *pinned strong references* by
-    identity (the ``plan_for`` pattern: pinning keeps the objects alive,
-    so identity is O(1) and can never alias a recycled id).  On an
+    identity (pinning keeps the objects alive, so identity is O(1) and
+    can never alias a recycled id).  On an
     identity miss the memo falls back to a *content* fingerprint (weight
     digest + settings), so a different net object with identical weights
     still reuses the blob and a swapped net always re-pickles — keying

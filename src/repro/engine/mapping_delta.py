@@ -72,15 +72,19 @@ class MappingCacheStats:
 
 
 class MappingCache:
-    """LRU cache of :class:`MappingResult` keyed by operand digests."""
+    """LRU cache of :class:`MappingResult` keyed by operand digests.
+
+    The patch counters (``patches``, ``rebuilds``, ``patched_added``,
+    ``patched_removed``) belong to every mapping cache; they stay 0
+    unless a :class:`DeltaMappingCache` patches.
+    """
 
     def __init__(self, capacity: int = DEFAULT_MAPPING_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, MappingResult]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self.reset_stats()
 
     # -- lookups ---------------------------------------------------------
     def knn(self, points, k: int, queries=None) -> MappingResult:
@@ -128,15 +132,19 @@ class MappingCache:
         return MappingCacheStats(
             hits=self.hits,
             misses=self.misses,
-            patches=getattr(self, "patches", 0),
-            rebuilds=getattr(self, "rebuilds", 0),
-            patched_added=getattr(self, "patched_added", 0),
-            patched_removed=getattr(self, "patched_removed", 0),
+            patches=self.patches,
+            rebuilds=self.rebuilds,
+            patched_added=self.patched_added,
+            patched_removed=self.patched_removed,
         )
 
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
+        self.patches = 0
+        self.rebuilds = 0
+        self.patched_added = 0
+        self.patched_removed = 0
 
     def clear(self) -> None:
         self._entries.clear()
@@ -234,21 +242,10 @@ class DeltaMappingCache(MappingCache):
             )
         self.threshold = float(threshold)
         self.max_candidates = int(max_candidates)
-        self.patches = 0
-        self.rebuilds = 0
-        self.patched_added = 0
-        self.patched_removed = 0
         #: key -> (geometry, packed keys, coordinate rows), LRU-ordered.
         self._coord_sets: "OrderedDict[tuple, Tuple[tuple, np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.patches = 0
-        self.rebuilds = 0
-        self.patched_added = 0
-        self.patched_removed = 0
 
     def clear(self) -> None:
         super().clear()

@@ -641,8 +641,8 @@ class InferenceSession:
             "Delta-cache digest misses served by patching vs rebuilt.",
             labels=("cache", "event"),
             read=read(lambda s: {
-                ("mapping", "patch"): getattr(s.mapping_cache, "patches", 0),
-                ("mapping", "rebuild"): getattr(s.mapping_cache, "rebuilds", 0),
+                ("mapping", "patch"): s.mapping_cache.patches,
+                ("mapping", "rebuild"): s.mapping_cache.rebuilds,
             }),
         )
         self._m_dispatch = reg.histogram(
@@ -751,8 +751,8 @@ class InferenceSession:
             simulations=self._simulations,
             mapping_hits=self.mapping_cache.hits,
             mapping_misses=self.mapping_cache.misses,
-            mapping_patches=getattr(self.mapping_cache, "patches", 0),
-            mapping_rebuilds=getattr(self.mapping_cache, "rebuilds", 0),
+            mapping_patches=self.mapping_cache.patches,
+            mapping_rebuilds=self.mapping_cache.rebuilds,
         )
 
     def reset_stats(self) -> None:
@@ -938,7 +938,7 @@ class InferenceSession:
             GroupTask(
                 coords=tensors[indices[0]].coords,
                 shape=tensors[indices[0]].shape,
-                features=np.stack([tensors[i].features for i in indices]),
+                features=tuple(tensors[i].features for i in indices),
                 digest=tensors[indices[0]].coords_digest(),
             )
             for indices in groups.values()
@@ -947,8 +947,8 @@ class InferenceSession:
             self.net, self.precision, self.quantization, tasks
         )
         for indices, group_out in zip(groups.values(), outs):
-            for row, index in enumerate(indices):
-                results[index] = tensors[index].with_features(group_out[row])
+            for index, features in zip(indices, group_out):
+                results[index] = tensors[index].with_features(features)
 
     def _validate_batch_channels(
         self, tensors: Sequence[SparseTensor3D]

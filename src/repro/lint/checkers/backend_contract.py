@@ -11,7 +11,7 @@ deep inside a dispatch.  This rule proves the contract statically:
 * the registered class provides a *concrete* implementation — own or
   inherited, but not a bare ``raise NotImplementedError`` stub — of the
   full :class:`~repro.engine.backend.ExecutionBackend` surface:
-  ``prepare`` / ``execute`` / ``capabilities`` / ``close``;
+  ``execute`` / ``capabilities`` / ``close``;
 * each implementation's signature is call-compatible with how the
   session invokes it (positional arity, plus the ``stats=`` keyword on
   ``execute``).
@@ -36,7 +36,6 @@ from repro.lint.base import (
 
 #: method -> (positional call arity including self, required keyword).
 _SURFACE: Dict[str, Tuple[int, Optional[str]]] = {
-    "prepare": (2, None),
     "execute": (5, "stats"),
     "capabilities": (1, None),
     "close": (1, None),

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,6 +100,11 @@ class Rulebook:
     )
     #: The ``(2, M)`` pair array behind :meth:`flat_pairs`.
     _pairs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    #: dtype -> the scipy backend's ``(gather, scatter)`` CSR pair
+    #: (:meth:`repro.engine.backend.ScipySparseBackend.operators`).
+    _csr: Dict[np.dtype, Tuple[object, object]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def total_matches(self) -> int:

@@ -505,9 +505,6 @@ class RemoteShardBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Local compute surface (per-convolution calls stay in-process)
     # ------------------------------------------------------------------
-    def prepare(self, rulebook):
-        return self._inner.prepare(rulebook)
-
     def execute(self, rulebook, in_features, weights, num_outputs, stats=None):
         return self._inner.execute(
             rulebook, in_features, weights, num_outputs, stats=stats
@@ -603,13 +600,9 @@ class RemoteShardBackend(ExecutionBackend):
         blob = self.spec_store.payload(net, precision, quantization)
         digest = self.spec_store.digest
         for task in groups:
-            self.spec_store.record_seed(
-                task.digest or task.coords.tobytes(), task.coords, task.shape
-            )
+            self.spec_store.record_seed(task.digest, task.coords, task.shape)
         self._m_groups.inc(len(groups))
-        self._m_frames.inc(
-            sum(task.features.shape[0] for task in groups)
-        )
+        self._m_frames.inc(sum(len(task.features) for task in groups))
         # Generous outer bound: every group gets its own per-request
         # timeouts inside; this only guards against a wedged loop.
         outer = (
@@ -623,7 +616,7 @@ class RemoteShardBackend(ExecutionBackend):
 
     async def _run_groups_async(
         self, digest: bytes, blob: bytes, groups: Sequence[GroupTask]
-    ) -> List[np.ndarray]:
+    ) -> List[List[np.ndarray]]:
         return list(
             await asyncio.gather(
                 *(self._run_group(digest, blob, task) for task in groups)
@@ -632,24 +625,23 @@ class RemoteShardBackend(ExecutionBackend):
 
     async def _run_group(
         self, digest: bytes, blob: bytes, task: GroupTask
-    ) -> np.ndarray:
-        group_digest = task.digest or task.coords.tobytes()
+    ) -> List[np.ndarray]:
         payload = {
             "spec": digest,
             "coords": task.coords,
             "shape": tuple(task.shape),
-            "features": task.features,
-            "digest": group_digest,
+            "features": list(task.features),
+            "digest": task.digest,
         }
         reroutes = 0
         excluded: Set[Address] = set()
         resynced: Set[Address] = set()
         last_error: Optional[BaseException] = None
         while True:
-            address = self.ring.route(group_digest, self._live - excluded)
+            address = self.ring.route(task.digest, self._live - excluded)
             if address is None:
                 raise ClusterError(
-                    f"no live worker for group {group_digest.hex()[:16]} "
+                    f"no live worker for group {task.digest.hex()[:16]} "
                     f"(live={sorted(map(format_address, self._live))}, "
                     f"excluded={sorted(map(format_address, excluded))})"
                 ) from last_error
@@ -664,7 +656,7 @@ class RemoteShardBackend(ExecutionBackend):
                     time.monotonic() - sent,
                     worker=format_address(address),
                 )
-                return np.asarray(reply["features"])
+                return reply["features"]
             except RemoteWorkerError as exc:
                 if exc.kind == "UnknownSpecError" and address not in resynced:
                     # Worker restarted behind a live link: re-sync the
@@ -682,7 +674,7 @@ class RemoteShardBackend(ExecutionBackend):
                 last_error = exc
                 if reroutes >= self.retries:
                     raise ClusterError(
-                        f"group {group_digest.hex()[:16]} failed after "
+                        f"group {task.digest.hex()[:16]} failed after "
                         f"{reroutes} re-route(s); last worker "
                         f"{format_address(address)} died with: {exc}"
                     ) from exc

@@ -72,7 +72,8 @@ class MessageType(IntEnum):
     #: Warm one plan: ``{"spec": digest, "coords", "shape"}``.
     PREPARE = 1
     #: Run one digest group: ``{"spec": digest, "coords", "shape",
-    #: "features", "digest"}`` -> ``{"features": (B, N, Cout)}``.
+    #: "features": [(N, C)] * B, "digest"}`` ->
+    #: ``{"features": [(N, Cout)] * B}``.
     EXECUTE_BATCH = 2
     #: Retire spec sessions: ``{"keep": digest | None}``.
     REFRESH = 3

@@ -15,12 +15,12 @@ frames —
 * ``PREPARE`` warms one plan (site set ``coords``/``shape``) on a
   spec's session — the coordinator replays these when a worker rejoins
   so traffic lands on warm plans.
-* ``EXECUTE_BATCH`` runs one ``run_batch`` digest group and returns the
-  stacked output features, bit-identical to in-process execution (the
-  worker rebuilds the group's frames from one template tensor and runs
-  the scipy CSR backend, which is
-  bit-identical to the fused numpy engine and falls back to it when
-  scipy is not installed).
+* ``EXECUTE_BATCH`` runs one ``run_batch`` digest group, shipped as a
+  list of ``(N, C)`` frames, and returns the list of output features,
+  bit-identical to in-process execution (the worker rebuilds the
+  group's frames from one template tensor and runs the scipy CSR
+  backend, which is bit-identical to the fused numpy engine and falls
+  back to it when scipy is not installed).
 * ``HEALTH`` reports liveness and warmth (known digests, prepared
   plans, served counters) without touching the compute path.
 * ``REFRESH`` retires spec sessions (all, or all but one digest).
@@ -39,7 +39,7 @@ import os
 import pickle
 import time
 from collections import OrderedDict
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -262,24 +262,18 @@ class ClusterWorker:
                 )
         finally:
             self._compute_waiters -= 1
-        self._prepared.add((spec_digest, payload.get("digest", b"")))
+        self._prepared.add((spec_digest, payload["digest"]))
         return {"nnz": nnz}
 
-    def _run_group(self, session, payload: dict) -> np.ndarray:
+    def _run_group(self, session, payload: dict) -> List[np.ndarray]:
         from repro.sparse.coo import SparseTensor3D
 
-        features = np.asarray(payload["features"])
+        first, *rest = payload["features"]
         template = SparseTensor3D(
-            np.asarray(payload["coords"]),
-            features[0],
-            tuple(payload["shape"]),
+            np.asarray(payload["coords"]), first, tuple(payload["shape"])
         )
-        frames = [template] + [
-            template.with_features(features[b])
-            for b in range(1, features.shape[0])
-        ]
-        outs = session.run_batch(frames)
-        return np.stack([out.features for out in outs])
+        frames = [template] + [template.with_features(f) for f in rest]
+        return [out.features for out in session.run_batch(frames)]
 
     async def _execute_batch(self, payload: dict) -> dict:
         spec_digest: bytes = payload["spec"]
@@ -287,15 +281,15 @@ class ClusterWorker:
         self._compute_waiters += 1
         try:
             async with self._compute_lock:
-                stacked = await asyncio.get_running_loop().run_in_executor(
+                outs = await asyncio.get_running_loop().run_in_executor(
                     None, self._run_group, session, payload
                 )
         finally:
             self._compute_waiters -= 1
-        self._prepared.add((spec_digest, payload.get("digest", b"")))
+        self._prepared.add((spec_digest, payload["digest"]))
         self.groups_served += 1
-        self.frames_served += int(np.asarray(payload["features"]).shape[0])
-        return {"features": stacked}
+        self.frames_served += len(outs)
+        return {"features": outs}
 
     def _health(self, payload) -> dict:
         # ``queue_depth`` and ``warm_sessions`` are additive telemetry

@@ -24,7 +24,7 @@ from repro.engine import (
     get_backend,
     register_backend,
 )
-from repro.engine.backend import CsrExecPlan, FusedExecPlan, GroupTask
+from repro.engine.backend import GroupTask
 from repro.nn import (
     SSUNet,
     UNetConfig,
@@ -301,17 +301,26 @@ def test_scipy_plan_is_csr_and_memoized():
         pytest.skip("scipy not installed")
     tensor = frame(30, nnz=40)
     rulebook = build_submanifold_rulebook(tensor, 3)
-    plan = backend.plan_for(rulebook)
-    assert isinstance(plan, CsrExecPlan)
-    assert plan.gather.shape == (plan.total_matches, tensor.nnz)
-    assert plan.scatter.shape == (tensor.nnz, plan.total_matches)
-    assert plan.gather.nnz == plan.total_matches == rulebook.total_matches
-    assert backend.plan_for(rulebook) is plan  # memoized per rulebook
-    # Per-dtype operator casts are memoized too.
-    g32, s32 = plan.operators(np.float32)
-    g32_again, s32_again = plan.operators(np.float32)
+    total = rulebook.total_matches
+    gather, scatter = backend.operators(rulebook, np.float64)
+    assert gather.format == scatter.format == "csr"
+    assert gather.shape == (total, tensor.nnz)
+    assert scatter.shape == (tensor.nnz, total)
+    assert gather.nnz == scatter.nnz == total
+    assert gather.dtype == scatter.dtype == np.float64
+    # Memoized on the rulebook per dtype, shared by every scipy backend.
+    again = ScipySparseBackend().operators(rulebook, np.float64)
+    assert again[0] is gather and again[1] is scatter
+    g32, s32 = backend.operators(rulebook, np.float32)
+    g32_again, s32_again = backend.operators(rulebook, np.float32)
     assert g32_again is g32 and s32_again is s32
     assert g32.dtype == np.float32 and s32.dtype == np.float32
+    weights = np.random.default_rng(4).standard_normal((27, 2, 3))
+    backend.execute(
+        rulebook, tensor.features.astype(np.float32),
+        weights.astype(np.float32), tensor.nnz,
+    )
+    assert backend.operators(rulebook, np.float32)[0] is g32
 
 
 def test_scipy_degraded_fallback(monkeypatch):
@@ -327,7 +336,7 @@ def test_scipy_degraded_fallback(monkeypatch):
         backend.execute(rulebook, tensor.features, weights, tensor.nnz),
         expected,
     )
-    assert isinstance(backend.plan_for(rulebook), FusedExecPlan)
+    assert rulebook._csr == {}  # nothing lowered while degraded
 
 
 def test_scipy_degraded_batch_and_session_parity(monkeypatch):
@@ -451,7 +460,9 @@ def test_scipy_records_apply_stats():
 def test_sharded_validates_workers_and_refuses_run_groups_on_numpy():
     with pytest.raises(NotImplementedError, match="does not shard"):
         NumpyFusedBackend().run_groups(None, "float64", None, [
-            GroupTask(np.zeros((0, 3), np.int64), (4, 4, 4), np.zeros((1, 0, 1)))
+            GroupTask(
+                np.zeros((0, 3), np.int64), (4, 4, 4), (np.zeros((0, 1)),), b""
+            )
         ])
 
 
@@ -463,9 +474,12 @@ def test_execution_backend_base_is_abstract():
     tensor = frame(41, nnz=10)
     rulebook = build_submanifold_rulebook(tensor, 3)
     with pytest.raises(NotImplementedError):
-        base.prepare(rulebook)
+        base.execute(rulebook, tensor.features, np.ones((27, 1, 1)), tensor.nnz)
     with pytest.raises(NotImplementedError):
         base.capabilities()
+    with pytest.raises(NotImplementedError, match="does not shard"):
+        base.run_groups(None, "float64", None, [])
+    base.close()  # a no-op: the base holds no resources
 
 
 def test_accelerator_config_carries_backend():
@@ -524,24 +538,6 @@ def test_host_model_execute_layer_through_backends():
     assert np.array_equal(out, down_ref.features)
     with pytest.raises(TypeError, match="ExecutionBackend"):
         model.execute_layer(execution, tensor.features, weights, backend=3.5)
-
-
-def test_plan_memo_is_lru_bounded():
-    """Streaming workloads mint a new rulebook per site set; the plan
-    memo must evict rather than pin every rulebook ever executed."""
-    backend = ScipySparseBackend()
-    backend.plan_capacity = 2
-    rulebooks = [
-        build_submanifold_rulebook(frame(70 + i, nnz=20 + i), 3)
-        for i in range(4)
-    ]
-    plans = [backend.plan_for(rb) for rb in rulebooks]
-    assert len(backend._plans) == 2
-    # The most recent entries survive; the oldest were evicted.
-    assert backend.plan_for(rulebooks[3]) is plans[3]
-    assert backend.plan_for(rulebooks[0]) is not plans[0]
-    backend.close()
-    assert len(backend._plans) == 0
 
 
 def test_sharded_spec_blob_memoized_across_dispatches():

@@ -38,9 +38,6 @@ def rules_of(report, rule):
 
 FULL_BACKEND = """\
 class {name}:
-    def prepare(self, rulebook):
-        return None
-
     def execute(self, rulebook, feats, weights, num_outputs, stats=None):
         return 0
 
@@ -52,7 +49,6 @@ class {name}:
 """
 
 SURFACE = (
-    "prepare",
     "execute",
     "capabilities",
     "close",
@@ -96,7 +92,7 @@ def test_backend_contract_fails_when_any_method_deleted(tmp_path, method):
 def test_backend_contract_rejects_abstract_inherited_stub(tmp_path):
     base = (
         'class Base:\n'
-        '    def prepare(self, rulebook):\n'
+        '    def capabilities(self):\n'
         '        """Docstring does not make it concrete."""\n'
         '        raise NotImplementedError\n'
         '\n\n'
@@ -104,7 +100,7 @@ def test_backend_contract_rejects_abstract_inherited_stub(tmp_path):
     derived = FULL_BACKEND.format(name="Derived").replace(
         "class Derived:", "class Derived(Base):"
     ).replace(
-        "    def prepare(self, rulebook):\n        return None\n\n", ""
+        "    def capabilities(self):\n        return {}\n\n", ""
     )
     write(
         tmp_path,
@@ -115,7 +111,7 @@ def test_backend_contract_rejects_abstract_inherited_stub(tmp_path):
     found = rules_of(report, "backend-contract")
     assert len(found) == 1
     assert "abstract" in found[0].message
-    assert "prepare()" in found[0].message
+    assert "capabilities()" in found[0].message
 
 
 def test_backend_contract_accepts_inherited_concrete_method(tmp_path):
