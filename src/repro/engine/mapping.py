@@ -39,7 +39,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.sparse.hashmap import _AXIS_BITS, pack_coords
+from repro.sparse.hashmap import _AXIS_BITS, _AXIS_MASK
 
 #: Cap on grid cells per axis; keeps packed keys in range and bounds the
 #: cell-assignment rounding slop the kNN retirement margin must absorb
@@ -113,11 +113,18 @@ def _squared_distances(a, b, out=None) -> np.ndarray:
     order :func:`_distance_matrix` reduces its length-3 axis in, so bucket
     and brute-force paths agree bitwise; working on column vectors avoids
     the strided ``(M, 3)`` row reduction.  ``out`` (``b`` itself, say)
-    takes the per-axis differences and squares in place.
+    takes the per-axis differences and squares in place, and the sum
+    lands in ``out[0]``.
     """
-    diff = np.subtract(a, b, out=out)
+    return _sum_of_squares(np.subtract(a, b, out=out))
+
+
+def _sum_of_squares(diff: np.ndarray) -> np.ndarray:
+    """``diff[0]**2 + diff[1]**2 + diff[2]**2``, left to right, squared in
+    place and summed into ``diff[0]``."""
     diff *= diff
-    d2 = diff[0] + diff[1]
+    d2 = diff[0]
+    d2 += diff[1]
     d2 += diff[2]
     return d2
 
@@ -126,6 +133,25 @@ def _columns(points: np.ndarray, dtype=None) -> np.ndarray:
     """``(3, N)`` contiguous per-axis layout of ``(N, 3)`` rows, widened
     to ``dtype`` (exactly, as the arithmetic would promote them)."""
     return np.ascontiguousarray(points.T, dtype=dtype)
+
+
+def _point_columns(
+    pts: np.ndarray, qs: np.ndarray, self_query: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column layouts one search needs: ``(3, N + 1)`` point columns
+    and the query columns, both in the common dtype distances are
+    computed in, and the points' columns in their own dtype, which the
+    grid buckets.  A self-query, and points already in the common dtype,
+    share one array.  The last point column is ``inf``: a ``-1`` pad of
+    a candidate table gathers it, so pad slots read ``inf`` distances
+    with no mask."""
+    dtype = np.result_type(pts, qs)
+    p_cols = np.empty((3, len(pts) + 1), dtype=dtype)
+    p_cols[:, :-1] = pts.T
+    p_cols[:, -1] = np.inf
+    grid_cols = p_cols[:, :-1] if dtype == pts.dtype else _columns(pts)
+    q_cols = p_cols[:, :-1] if self_query else _columns(qs, dtype)
+    return p_cols, grid_cols, q_cols
 
 
 def _distance_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -137,18 +163,30 @@ def _distance_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 _KEY_STEP = np.array([1 << (2 * _AXIS_BITS), 1 << _AXIS_BITS, 1], dtype=np.int64)
 
 
-def _cube_keys(reach: np.ndarray) -> np.ndarray:
-    """Signed packed-key deltas, ascending, of every cell offset reaching
-    at most ``reach[a]`` cells along axis ``a``."""
-    x, y, z = (
-        np.arange(-r, r + 1, dtype=np.int64) * step for r, step in zip(reach, _KEY_STEP)
+def _pack_columns(cells: np.ndarray) -> np.ndarray:
+    """:func:`pack_coords` of ``(3, n)`` cell columns already known to lie
+    in ``[0, 2^21)`` per axis (so the checks are skipped)."""
+    return (cells[0] << (2 * _AXIS_BITS)) | (cells[1] << _AXIS_BITS) | cells[2]
+
+
+def _column_keys(reach) -> np.ndarray:
+    """Signed packed-key deltas, ascending, of every ``(dx, dy)`` cell
+    column offset reaching at most ``reach[a]`` cells along axis ``a``."""
+    x, y = (
+        np.arange(-r, r + 1, dtype=np.int64) * step
+        for r, step in zip(reach[:2], _KEY_STEP[:2])
     )
-    return (x[:, None, None] + y[None, :, None] + z[None, None, :]).ravel()
+    return (x[:, None] + y[None, :]).ravel()
 
 
 @dataclass(frozen=True, eq=False)
 class _BucketGrid:
-    """Points radix-sorted into voxel buckets — the sort phase's output."""
+    """Points radix-sorted into voxel buckets — the sort phase's output.
+
+    ``cells`` holds the occupied cells as ``(3, C)`` columns in
+    ``cell_keys`` order; bucket ``b``'s points are
+    ``order[starts[b]:starts[b + 1]]``.
+    """
 
     origin: np.ndarray
     cell_size: float
@@ -162,63 +200,93 @@ class _BucketGrid:
     def num_cells(self) -> int:
         return int(len(self.cell_keys))
 
-    def mean_population(self) -> float:
-        if not len(self.cell_keys):
-            return 0.0
-        return float(len(self.order)) / float(len(self.cell_keys))
-
 
 def _max_cells(dtype: np.dtype) -> int:
     return _MAX_CELLS_F32 if dtype == np.float32 else _MAX_CELLS_F64
 
 
-def _build_grid(points: np.ndarray, cell_size: float) -> _BucketGrid:
-    origin = points.min(axis=0)
-    limit = float(_max_cells(points.dtype) - 1)
-    cells = np.clip(
-        np.floor((points - origin) / points.dtype.type(cell_size)), 0.0, limit
-    ).astype(np.int64)
-    ncells = cells.max(axis=0) + 1
-    keys = pack_coords(cells)
-    order = np.argsort(keys, kind="stable")
+def _cell_keys(cols: np.ndarray, lo: np.ndarray, cell_size: float) -> np.ndarray:
+    """Packed key of each point's cell ``floor((x - lo) / cell_size)``,
+    capped at the cell cap, for ``(3, N)`` point columns whose per-axis
+    minimum is ``lo`` (``x - lo`` never rounds below 0)."""
+    scaled = np.subtract(cols, lo[:, None])
+    scaled /= cols.dtype.type(cell_size)
+    np.floor(scaled, out=scaled)
+    np.minimum(scaled, float(_max_cells(cols.dtype) - 1), out=scaled)
+    return _pack_columns(scaled.astype(np.int64))
+
+
+def _build_grid(
+    keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, cell_size: float
+) -> _BucketGrid:
+    """Bucket points by their :func:`_cell_keys` ``keys`` (cells of
+    ``cell_size`` from ``lo``); ``hi`` is the points' per-axis maximum.
+
+    Every step of the cell assignment is monotone in ``x``, so the
+    grid's extent is the cell of ``hi``.
+    """
+    size = lo.dtype.type(cell_size)
+    limit = float(_max_cells(lo.dtype) - 1)
+    ncells = np.minimum(np.floor((hi - lo) / size), limit).astype(np.int64) + 1
+    # Bucket members need no particular order: candidate tables are
+    # sorted by point index after they are filled.
+    order = np.argsort(keys)
     sorted_keys = keys[order]
-    fresh = np.empty(len(sorted_keys), dtype=bool)
-    fresh[:1] = True
-    fresh[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    boundaries = np.flatnonzero(fresh)
-    starts = np.concatenate([boundaries, [len(sorted_keys)]])
+    boundaries = np.flatnonzero(_run_heads(sorted_keys))
+    cell_keys = sorted_keys[boundaries]
+    cells = np.empty((3, len(cell_keys)), dtype=np.int64)
+    np.right_shift(cell_keys, 2 * _AXIS_BITS, out=cells[0])
+    np.right_shift(cell_keys, _AXIS_BITS, out=cells[1])
+    cells[1] &= _AXIS_MASK
+    np.bitwise_and(cell_keys, _AXIS_MASK, out=cells[2])
     return _BucketGrid(
-        origin=origin,
+        origin=lo,
         cell_size=float(cell_size),
         ncells=ncells,
         order=order,
-        cell_keys=sorted_keys[boundaries],
-        cells=cells[order[boundaries]],
-        starts=starts,
+        cell_keys=cell_keys,
+        cells=cells,
+        starts=np.append(boundaries, len(sorted_keys)),
     )
 
 
-def _scaled(grid: _BucketGrid, queries: np.ndarray) -> np.ndarray:
-    """Query coordinates in cell units from the grid origin."""
-    return (queries - grid.origin) / queries.dtype.type(grid.cell_size)
+def _run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal ``sorted_keys``."""
+    heads = np.empty(len(sorted_keys), dtype=bool)
+    heads[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=heads[1:])
+    return heads
 
 
-def _query_cells(grid: _BucketGrid, queries: np.ndarray) -> np.ndarray:
-    """Per-query search-center cells, clamped into the occupied grid.
+def _extent(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Per-axis minimum and maximum of ``(3, N)`` columns, and the span
+    (the widest axis extent)."""
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    return lo, hi, float((hi - lo).max())
+
+
+def _query_cells(
+    grid: _BucketGrid, q_cols: np.ndarray, q_dtype
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-query search-center cells as ``(3, Q)`` columns, clamped into
+    the occupied grid, and the queries' offsets within them in cell units
+    (``q_cols`` holds queries whose own dtype is ``q_dtype``, widened).
 
     Clamping keeps far-away queries' shells anchored to the point set
     (and overflows impossible) without weakening the distance bound: on
     any clamped axis the query lies strictly outside the grid, so points
     in unscanned cells are even farther than the in-grid bound promises.
     """
-    top = (grid.ncells - 1).astype(np.float64)
-    return np.clip(np.floor(_scaled(grid, queries)), 0.0, top).astype(np.int64)
+    scaled = np.subtract(q_cols, grid.origin[:, None])
+    scaled /= q_dtype.type(grid.cell_size)
+    top = (grid.ncells - 1).astype(np.float64)[:, None]
+    centers = np.clip(np.floor(scaled), 0.0, top).astype(np.int64)
+    return centers, scaled - centers
 
 
-def _shell_reach(
-    grid: _BucketGrid, queries: np.ndarray, centers: np.ndarray, point_dtype
-) -> np.ndarray:
-    """Per-query ``m_q - eps``, in cells, of the kNN retirement bound.
+def _shell_reach(offset: np.ndarray, point_dtype, q_dtype) -> np.ndarray:
+    """Per-query ``m_q - eps``, in cells, of the kNN retirement bound,
+    from the ``(3, Q)`` in-cell ``offset`` of :func:`_query_cells`.
 
     After merging shell ``s`` a query centered on cell ``c`` has scanned
     every cell within Chebyshev distance ``s`` of ``c``; an unscanned
@@ -245,51 +313,72 @@ def _shell_reach(
     distance is strictly below ``((s + m_q - eps) * cell_size)^2``
     therefore has no unscanned point that could beat or tie it.
     """
-    offset = _scaled(grid, queries) - centers
-    gap = np.maximum(np.minimum(offset, 1.0 - offset).min(axis=1), 0.0)
-    unit = max(np.finfo(point_dtype).eps, np.finfo(queries.dtype).eps) / 2.0
-    return gap - 32.0 * _max_cells(point_dtype) * unit
+    side = np.minimum(offset, 1.0 - offset)
+    gap = np.minimum(np.minimum(side[0], side[1]), side[2])
+    np.maximum(gap, 0.0, out=gap)
+    unit = max(np.finfo(point_dtype).eps, np.finfo(q_dtype).eps) / 2.0
+    gap -= 32.0 * _max_cells(point_dtype) * unit
+    return gap
 
 
-def _cube_buckets(
-    grid: _BucketGrid, centers: np.ndarray, radius: int
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Occupied buckets within Chebyshev distance ``radius`` of each
-    center, as ``(center, bucket)`` pairs grouped by center, plus the
-    next radius whose cube holds a bucket outside this one.
+def _distinct_cells(cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct ``(3, Q)`` cell columns in ascending key order, their
+    packed keys, and each column's distinct-cell number."""
+    keys = _pack_columns(cells)
+    perm = np.argsort(keys)
+    sorted_keys = keys[perm]
+    heads = _run_heads(sorted_keys)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[perm] = np.cumsum(heads) - 1
+    return cells[:, perm[heads]], sorted_keys[heads], inverse
+
+
+def _cube_runs(
+    grid: _BucketGrid, centers: np.ndarray, keys: np.ndarray, radius: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The points of the occupied buckets within Chebyshev distance
+    ``radius`` of each center (``(3, U)`` cell columns with packed
+    ``keys``), as runs of the grid's sorted order: ``(center, start,
+    length)`` triples grouped by center, plus the next radius whose cube
+    holds a bucket outside this one.
 
     A cube has ``(2 radius + 1)^3`` cells but a grid only ``num_cells``
-    occupied ones; whichever list is shorter is walked.  Small cubes
-    look up each offset cell's key; a wide one — a query far from the
-    cloud, or in a sparse or thin region — scans the occupied cells'
-    Chebyshev distances instead, so its cost stops growing with the
-    radius, and the scan names the next radius that adds a bucket so
-    empty shells are skipped.
+    occupied ones; whichever list is shorter is walked.  A small cube is
+    walked by z-columns: the cells of one ``(x, y)`` column within the
+    cube are consecutive keys, so two probes find its occupied cells,
+    whose points are one run of the sorted order.  A wide cube — a query
+    far from the cloud, or in a sparse or thin region — scans the
+    occupied cells' Chebyshev distances instead, so its cost stops
+    growing with the radius, and the scan names the next radius that
+    adds a bucket so empty shells are skipped.
     """
     # An offset reaching ncells[a] or more along an axis leaves the grid
     # from every center, so a flat or thin cloud walks a flat or thin cube.
-    reach = np.minimum(radius, grid.ncells - 1)
-    lifted_extent = int((grid.ncells + 2 * reach).max())
-    if np.prod(2 * reach + 1) > grid.num_cells or lifted_extent > 1 << _AXIS_BITS:
-        gap = np.abs(centers[:, None, :] - grid.cells[None, :, :]).max(axis=2)
+    ncells = grid.ncells.tolist()
+    reach = [min(radius, n - 1) for n in ncells]
+    cube = (2 * reach[0] + 1) * (2 * reach[1] + 1) * (2 * reach[2] + 1)
+    lifted_extent = max(n + 2 * r for n, r in zip(ncells, reach))
+    if cube > grid.num_cells or lifted_extent > 1 << _AXIS_BITS:
+        gap = np.abs(centers[0][:, None] - grid.cells[0])
+        for axis in (1, 2):
+            np.maximum(gap, np.abs(centers[axis][:, None] - grid.cells[axis]), out=gap)
         owner, bucket = np.nonzero(gap <= radius)
         beyond = gap[gap > radius]
-        following = int(beyond.min()) if beyond.size else int(grid.ncells.max())
-        return owner, bucket, following
+        following = int(beyond.min()) if beyond.size else max(ncells)
+        start = grid.starts[bucket]
+        return owner, start, grid.starts[bucket + 1] - start, following
     # Cells lifted by the reach keep every axis of center + offset within
-    # [0, 2^21), where packing is linear: keys add center and offset, and
-    # a cell off the grid packs to a key no occupied cell has, so one
-    # probe needs no bounds mask.
-    lift = int(reach @ _KEY_STEP)
+    # [0, 2^21), where packing is linear: keys add center and offset, a
+    # column's cells from z - reach to z + reach are one key range, and a
+    # range off the grid holds no occupied cell's key.
+    lift = sum(r * int(step) for r, step in zip(reach, _KEY_STEP))
     lifted = grid.cell_keys + lift
-    keys = (pack_coords(centers) + lift)[:, None] + _cube_keys(reach)[None, :]
-    pos = np.minimum(np.searchsorted(lifted, keys), grid.num_cells - 1)
-    owner, slot = np.nonzero(lifted[pos] == keys)
-    return owner, pos[owner, slot], radius + 1
-
-
-#: Pad value of a candidate table while its rows are sorted by index.
-_PAD_KEY = np.iinfo(np.int64).max
+    low = (keys + (lift - reach[2]))[:, None] + _column_keys(reach)[None, :]
+    first = np.searchsorted(lifted, low)
+    last = np.searchsorted(lifted, low + 2 * reach[2], side="right")
+    start = grid.starts[first].ravel()
+    owner = np.repeat(np.arange(len(keys), dtype=np.int64), low.shape[1])
+    return owner, start, grid.starts[last].ravel() - start, radius + 1
 
 
 class _CandidateBand(NamedTuple):
@@ -309,10 +398,16 @@ class _CandidateBand(NamedTuple):
 
 
 def _candidate_rows(
-    grid: _BucketGrid, centers: np.ndarray, radius: int
+    grid: _BucketGrid,
+    centers: np.ndarray,
+    keys: np.ndarray,
+    inverse: np.ndarray,
+    radius: int,
 ) -> Tuple[List[_CandidateBand], int]:
     """Per-center candidate tables: the points of every occupied bucket
-    within Chebyshev distance ``radius`` of each query's center cell.
+    within Chebyshev distance ``radius`` of each distinct center cell
+    (``(3, U)`` columns with packed ``keys``); query row ``r`` is
+    centered on cell ``inverse[r]``.
 
     Returns ``(bands, following)``; ``following`` is the next radius at
     which any of these centers gains a bucket (every shell between is
@@ -320,42 +415,48 @@ def _candidate_rows(
     once per distinct center, and tables are banded by candidate count
     into power-of-two widths, so one crowded cell never pads the others.
     """
-    _, first, inverse = np.unique(
-        pack_coords(centers), return_index=True, return_inverse=True
-    )
-    owner, bucket, following = _cube_buckets(grid, centers[first], radius)
-    counts = grid.starts[bucket + 1] - grid.starts[bucket]
-    population = np.bincount(owner, weights=counts, minlength=len(first))
+    owner, first, counts, following = _cube_runs(grid, centers, keys, radius)
+    population = np.bincount(owner, weights=counts, minlength=len(keys))
     population = population.astype(np.int64)
-    band = np.ceil(np.log2(np.maximum(population, 1))).astype(np.int64)
+    # Band b holds widths 2^b: b = ceil(log2(population)), 0 when empty.
+    band = np.frexp(np.maximum(population - 1, 0))[1].astype(np.int64)
     # Centers grouped by band each own one row of their band's width in a
-    # flat buffer; every bucket's run of points lands with one scatter.
+    # flat buffer; every run of points lands with one scatter.
     by_band = np.argsort(band, kind="stable")
-    width = np.left_shift(1, band[by_band])
-    offset = np.cumsum(width) - width
-    start = np.empty(len(first), dtype=np.int64)
-    start[by_band] = offset
-    # Candidate j of the concatenated bucket runs sits at sorted-order
+    sizes = np.bincount(band)
+    lows = np.cumsum(sizes) - sizes
+    slot = np.empty(len(keys), dtype=np.int64)
+    slot[by_band] = np.arange(len(keys), dtype=np.int64) - np.repeat(lows, sizes)
+    spans = sizes << np.arange(len(sizes), dtype=np.int64)
+    bases = np.cumsum(spans) - spans
+    # Candidate j of the concatenated runs sits at sorted-order
     # position src[j] + j and lands in flat slot dst[j] + j.
-    step = np.arange(int(counts.sum()), dtype=np.int64)
-    run = np.cumsum(counts) - counts
-    src = np.repeat(grid.starts[bucket] - run, counts)
-    dst = np.repeat(start[owner] - (np.cumsum(population) - population)[owner], counts)
-    flat = np.full(int(width.sum()), _PAD_KEY, dtype=np.int64)
-    flat[dst + step] = grid.order[src + step]
-    levels, lows, sizes = np.unique(
-        band[by_band], return_index=True, return_counts=True
-    )
-    slot = np.empty(len(first), dtype=np.int64)
-    slot[by_band] = np.arange(len(first), dtype=np.int64) - np.repeat(lows, sizes)
+    total = int(counts.sum())
+    step = np.arange(total, dtype=np.int64)
+    src = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    src += step
+    dst = bases[band] + (slot << band) - (np.cumsum(population) - population)
+    dst = np.repeat(dst, population)
+    dst += step
+    flat = np.full(int(spans.sum()), -1, dtype=np.int64)
+    flat[dst] = grid.order[src]
+    levels = np.flatnonzero(sizes)
     tables = [
-        flat[offset[low] : offset[low] + width[low] * size].reshape(size, -1)
-        for low, size in zip(lows, sizes)
+        flat[base : base + (size << level)].reshape(size, -1)
+        for level, base, size in zip(
+            levels.tolist(), bases[levels].tolist(), sizes[levels].tolist()
+        )
     ]
     for table in tables:
-        table.sort(axis=1)
-    flat[flat == _PAD_KEY] = -1
-    members = [np.flatnonzero(band[inverse] == level) for level in levels]
+        # Sorted as unsigned, the -1 pads go after every point index.
+        table.view(np.uint64).sort(axis=1)
+    row_band = band[inverse]
+    by_row_band = np.argsort(row_band, kind="stable")
+    row_sizes = np.bincount(row_band, minlength=len(sizes))[levels]
+    row_ends = np.cumsum(row_sizes).tolist()
+    members = [
+        by_row_band[end - size : end] for end, size in zip(row_ends, row_sizes.tolist())
+    ]
     bands = [
         _CandidateBand(rows, table, slot[inverse[rows]], population[inverse[rows]])
         for rows, table in zip(members, tables)
@@ -367,17 +468,17 @@ def _table_distances(
     q_cols: np.ndarray, p_cols: np.ndarray, band: _CandidateBand
 ) -> np.ndarray:
     """``(rows, width)`` squared distances from each query of the band
-    (the columns of ``q_cols``) to the points of its center's table row;
-    pad columns read ``inf``.  Point coordinates are gathered once per
-    center and then copied to the rows."""
+    (the columns of ``q_cols``) to the points of its center's table row
+    (:func:`_point_columns`, so pad columns read ``inf``).  Point
+    coordinates are gathered once per center and then copied to the
+    rows."""
     coords = np.take(np.take(p_cols, band.table, axis=1), band.slot, axis=1)
-    d2 = _squared_distances(q_cols[:, :, None], coords, out=coords)
-    d2[np.arange(band.table.shape[1]) >= band.population[:, None]] = np.inf
-    return d2
+    return _squared_distances(q_cols[:, :, None], coords, out=coords)
 
 
-def _knn_grid(points: np.ndarray, k: int) -> _BucketGrid:
-    """Bucket grid whose occupied buckets hold about ``k / 4`` points.
+def _knn_grid(cols: np.ndarray, k: int) -> _BucketGrid:
+    """Bucket grid of ``(3, N)`` point columns whose occupied buckets hold
+    about ``k / 4`` points.
 
     At ``k / 4`` per bucket a 27-cell shell holds a few ``k`` candidates
     and, with :func:`_shell_reach`'s bound, most queries retire after
@@ -385,26 +486,29 @@ def _knn_grid(points: np.ndarray, k: int) -> _BucketGrid:
     saved shells are worth.  The population is averaged per occupied
     bucket, so duplicated points, which no cell size can split, do not
     drive the cells down to the cap.  One density estimate from the
-    bounding box, then a bounded number of refinements (accepted within
-    a factor of two) against the *measured* population so
-    lower-dimensional clouds (surfaces, lines) converge too.
+    bounding box (one min/max pass), then a bounded number of
+    refinements (accepted within a factor of two) against the *measured*
+    population so lower-dimensional clouds (surfaces, lines) converge
+    too.
     """
-    extent = points.max(axis=0) - points.min(axis=0)
-    span = float(extent.max())
+    lo, hi, span = _extent(cols)
     if span <= 0.0:
-        return _build_grid(points, 1.0)
-    floor_size = span / float(_max_cells(points.dtype))
-    volume = float(np.prod(np.maximum(extent, span * 1e-3)))
+        return _build_grid(_cell_keys(cols, lo, 1.0), lo, hi, 1.0)
+    num_points = cols.shape[1]
+    floor_size = span / float(_max_cells(cols.dtype))
+    volume = float(np.prod(np.maximum(hi - lo, span * 1e-3)))
     target = max(1.0, 0.25 * float(k))
-    size = max(floor_size, (volume * target / float(len(points))) ** (1.0 / 3.0))
+    size = max(floor_size, (volume * target / float(num_points)) ** (1.0 / 3.0))
     for _ in range(3):
-        grid = _build_grid(points, size)
-        mean = grid.mean_population()
-        if mean <= 0.0 or 0.5 * target <= mean <= 2.0 * target:
+        keys, keyed_size = _cell_keys(cols, lo, size), size
+        mean = num_points / int(np.count_nonzero(_run_heads(np.sort(keys))))
+        if 0.5 * target <= mean <= 2.0 * target:
             break
         size = max(floor_size, size * float((target / mean) ** (1.0 / 3.0)))
     size = min(size, span)
-    return grid if grid.cell_size == size else _build_grid(points, size)
+    if size != keyed_size:
+        keys = _cell_keys(cols, lo, size)
+    return _build_grid(keys, lo, hi, size)
 
 
 def knn(points, queries=None, *, k: int) -> MappingResult:
@@ -434,11 +538,12 @@ def knn(points, queries=None, *, k: int) -> MappingResult:
         stats = MappingStats("knn", "bucket", num_points, num_queries, 0, 0, 0, 0)
         return MappingResult(indices, dists, counts, None, stats)
 
-    grid = _knn_grid(pts, k)
-    centers = _query_cells(grid, qs)
-    reach = _shell_reach(grid, qs, centers, pts.dtype)
-    dtype = np.result_type(pts, qs)
-    q_cols, p_cols = _columns(qs, dtype), _columns(pts, dtype)
+    p_cols, grid_cols, q_cols = _point_columns(pts, qs, queries is None)
+    dtype = q_cols.dtype
+    grid = _knn_grid(grid_cols, k)
+    cells, offset = _query_cells(grid, q_cols, qs.dtype)
+    reach = _shell_reach(offset, pts.dtype, qs.dtype)
+    centers, center_keys, center_of = _distinct_cells(cells)
     indices = np.full((num_queries, k), -1, dtype=np.int64)
     dists = np.full((num_queries, k), np.inf, dtype=dtype)
     max_shell = int(grid.ncells.max())
@@ -446,23 +551,37 @@ def knn(points, queries=None, *, k: int) -> MappingResult:
     examined = 0
     scanned, shell = 0, 1
     while pending.size:
-        bands, following = _candidate_rows(grid, centers[pending], shell)
-        waiting = np.zeros(len(pending), dtype=bool)
+        if pending.size < num_queries:
+            # Only the centers of pending queries are scanned again.
+            live = np.zeros(len(center_keys), dtype=bool)
+            live[center_of[pending]] = True
+            renumber = np.cumsum(live) - 1
+            centers, center_keys = centers[:, live], center_keys[live]
+            center_of = renumber[center_of]
+        bands, following = _candidate_rows(
+            grid, centers, center_keys, center_of[pending], shell
+        )
+        final = shell >= max_shell
+        waiting = np.ones(len(pending), dtype=bool)
         for band in bands:
+            if band.table.shape[1] < k and not final:
+                continue  # every row's k-th column is a pad: none retires
             query = pending[band.rows]
             d2 = _table_distances(q_cols[:, query], p_cols, band)
             # Columns are in point-index order, so a stable sort by d^2
             # leaves every row in exact (d^2, index) order.
             order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            top_d = np.take_along_axis(d2, order, axis=1)
-            kth = top_d[:, k - 1] if order.shape[1] == k else np.inf
-            bound = np.maximum(shell + reach[query], 0.0) * grid.cell_size
-            done = (kth < bound * bound) | (shell >= max_shell)
+            top_d = d2[np.arange(len(query))[:, None], order]
+            if final:
+                done = np.ones(len(query), dtype=bool)
+            else:
+                bound = np.maximum(shell + reach[query], 0.0) * grid.cell_size
+                done = top_d[:, k - 1] < bound * bound
             retired, width = query[done], order.shape[1]
             indices[retired, :width] = band.table[band.slot[done, None], order[done]]
             dists[retired, :width] = top_d[done]
             examined += int(band.population[done].sum())
-            waiting[band.rows] = ~done
+            waiting[band.rows[done]] = False
         pending = pending[waiting]
         scanned, shell = shell, following
     stats = MappingStats(
@@ -557,13 +676,14 @@ def ball_query(points, queries=None, *, radius: float, max_samples: int) -> Mapp
         )
         return MappingResult(indices, dists, counts, None, stats)
 
-    extent = pts.max(axis=0) - pts.min(axis=0)
-    span = float(extent.max())
+    p_cols, grid_cols, q_cols = _point_columns(pts, qs, queries is None)
+    lo, hi, span = _extent(grid_cols)
     floor_size = span / float(_max_cells(pts.dtype)) if span > 0 else 1.0
-    grid = _build_grid(pts, max(radius, floor_size))
-    dtype = np.result_type(pts, qs)
-    q_cols, p_cols = _columns(qs, dtype), _columns(pts, dtype)
-    bands, _ = _candidate_rows(grid, _query_cells(grid, qs), 1)
+    size = max(radius, floor_size)
+    grid = _build_grid(_cell_keys(grid_cols, lo, size), lo, hi, size)
+    cells, _ = _query_cells(grid, q_cols, qs.dtype)
+    centers, keys, center_of = _distinct_cells(cells)
+    bands, _ = _candidate_rows(grid, centers, keys, center_of, 1)
     examined = 0
     for band in bands:
         d2 = _table_distances(q_cols[:, band.rows], p_cols, band)
@@ -641,14 +761,19 @@ def farthest_point_sample(points, num_samples: int) -> MappingResult:
     examined = 0
     if take > 0:
         cols = _columns(pts)
+        scratch = np.empty_like(cols)
+        # One scalar subtraction per axis outruns a (3, N) - (3, 1)
+        # broadcast.
+        axes = list(zip(cols, scratch))
         indices[0] = 0
-        best = _squared_distances(cols, pts[0][:, None])
-        examined = num_points
+        best = _squared_distances(cols, cols[:, :1])
         for step in range(1, take):
-            far = int(np.argmax(best))
+            far = int(best.argmax())
             indices[step] = far
-            np.minimum(best, _squared_distances(cols, pts[far][:, None]), out=best)
-            examined += num_points
+            for column, diff in axes:
+                np.subtract(column, column[far], out=diff)
+            np.minimum(best, _sum_of_squares(scratch), out=best)
+        examined = take * num_points
     counts = np.asarray([take], dtype=np.int64)
     stats = MappingStats(
         "farthest_point_sample",

@@ -359,6 +359,11 @@ class PlanCache:
     def clear(self) -> None:
         self._entries.clear()
 
+    def site_digests(self) -> List[bytes]:
+        """``coords_digest()`` of each site set whose plan is held, least
+        recently used first."""
+        return [key[2] for key in self._entries]
+
     def network_plan(
         self, tensor: SparseTensor3D, net: SSUNet, rulebook_cache: RulebookCache
     ) -> NetworkPlan:

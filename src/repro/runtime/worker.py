@@ -21,8 +21,9 @@ frames —
   group's frames from one template tensor and runs the scipy CSR
   backend, which is bit-identical to the fused numpy engine and falls
   back to it when scipy is not installed).
-* ``HEALTH`` reports liveness and warmth (known digests, prepared
-  plans, served counters) without touching the compute path.
+* ``HEALTH`` reports liveness and warmth (known digests, the site-set
+  digests whose plans the sessions' plan caches hold, served counters)
+  without touching the compute path.
 * ``REFRESH`` retires spec sessions (all, or all but one digest).
 
 Request handling is one asyncio task per frame, so a long
@@ -101,9 +102,6 @@ class ClusterWorker:
         self.port = int(port)  # 0 = ephemeral; rebound by start()
         self.max_sessions = int(max_sessions)
         self._sessions: "OrderedDict[bytes, object]" = OrderedDict()
-        #: (spec digest, coord digest) pairs whose plan is warm — via
-        #: PREPARE replay or a served EXECUTE_BATCH.
-        self._prepared: Set[Tuple[bytes, bytes]] = set()
         self._compute_lock = asyncio.Lock()
         self._server: Optional[asyncio.base_events.Server] = None
         self._started_at = time.monotonic()
@@ -137,7 +135,6 @@ class ClusterWorker:
             await self._server.wait_closed()
             self._server = None
         self._sessions.clear()
-        self._prepared.clear()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -228,10 +225,7 @@ class ClusterWorker:
             self._sessions[digest] = session
             built = True
             while len(self._sessions) > self.max_sessions:
-                retired, _ = self._sessions.popitem(last=False)
-                self._prepared = {
-                    pair for pair in self._prepared if pair[0] != retired
-                }
+                self._sessions.popitem(last=False)
         self._sessions.move_to_end(digest)
         return {"digest": digest, "built": built, "specs": len(self._sessions)}
 
@@ -248,8 +242,7 @@ class ClusterWorker:
         return template.nnz
 
     async def _prepare(self, payload: dict) -> dict:
-        spec_digest: bytes = payload["spec"]
-        session = self._session(spec_digest)
+        session = self._session(payload["spec"])
         self._compute_waiters += 1
         try:
             async with self._compute_lock:
@@ -262,7 +255,6 @@ class ClusterWorker:
                 )
         finally:
             self._compute_waiters -= 1
-        self._prepared.add((spec_digest, payload["digest"]))
         return {"nnz": nnz}
 
     def _run_group(self, session, payload: dict) -> List[np.ndarray]:
@@ -276,8 +268,7 @@ class ClusterWorker:
         return [out.features for out in session.run_batch(frames)]
 
     async def _execute_batch(self, payload: dict) -> dict:
-        spec_digest: bytes = payload["spec"]
-        session = self._session(spec_digest)
+        session = self._session(payload["spec"])
         self._compute_waiters += 1
         try:
             async with self._compute_lock:
@@ -286,7 +277,6 @@ class ClusterWorker:
                 )
         finally:
             self._compute_waiters -= 1
-        self._prepared.add((spec_digest, payload["digest"]))
         self.groups_served += 1
         self.frames_served += len(outs)
         return {"features": outs}
@@ -300,8 +290,12 @@ class ClusterWorker:
             "port": self.port,
             "uptime_s": time.monotonic() - self._started_at,
             "specs": [digest.hex() for digest in self._sessions],
+            # Warm plans are the ones the sessions still hold: a plan
+            # cache evicts beyond its capacity, and so does this list.
             "prepared": sorted(
-                coord.hex() for _spec, coord in self._prepared
+                digest.hex()
+                for session in self._sessions.values()
+                for digest in session.plan_cache.site_digests()
             ),
             "groups_served": self.groups_served,
             "frames_served": self.frames_served,
@@ -317,9 +311,6 @@ class ClusterWorker:
         ]
         for digest in dropped:
             del self._sessions[digest]
-        self._prepared = {
-            pair for pair in self._prepared if pair[0] not in set(dropped)
-        }
         return {
             "dropped": [digest.hex() for digest in dropped],
             "kept": [digest.hex() for digest in self._sessions],

@@ -8,6 +8,8 @@ expression and ``(d^2, index)`` ordering with the references, so the
 comparisons below are exact equality, never approximate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,19 @@ def assert_ball_identical(got, want):
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.distances, want.distances)
     assert np.array_equal(got.counts, want.counts)
+
+
+def assert_fps_identical(points, num_samples):
+    got = M.farthest_point_sample(points, num_samples)
+    want = M.farthest_point_sample_bruteforce(points, num_samples)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.counts, want.counts)
+    # The references differ only in method and in the pairs they
+    # examine: the running minimum reads every point once per pick.
+    take = int(want.counts[0])
+    assert got.stats == dataclasses.replace(
+        want.stats, method="bucket", candidates=take * want.stats.num_points
+    )
 
 
 def degenerate_clouds():
@@ -176,7 +191,7 @@ def face_points(points, k, rng, count):
     for ``points`` (``origin + j * cell_size``), some just off the grid —
     where the kNN retirement bound is tight."""
     pts = M.as_point_array(points)
-    grid = M._knn_grid(pts, k)
+    grid = M._knn_grid(M._columns(pts), k)
     steps = rng.integers(-2, grid.ncells + 3, size=(count, 3))
     return grid.origin + steps.astype(pts.dtype) * pts.dtype.type(grid.cell_size)
 
@@ -227,6 +242,14 @@ def test_property_knn_and_ball_query_match_bruteforce(case):
             )
 
 
+@given(generated_clouds())
+@settings(max_examples=200, deadline=None)
+def test_property_fps_matches_bruteforce(case):
+    points, _, _ = case
+    for num_samples in (1, len(points), len(points) + 3):
+        assert_fps_identical(points, num_samples)
+
+
 def test_knn_float32_at_the_cell_cap():
     """A dense float32 block inside a wide bounding box drives the cell
     size down to the 4096-cells-per-axis floor, where float32 rounding
@@ -238,7 +261,7 @@ def test_knn_float32_at_the_cell_cap():
     block = 500.0 + rng.random((8000, 3)) * 2.0
     on_faces = rng.integers(2048, 2057, size=(100, 3)) * (span / 4096.0)
     points = np.concatenate([corners, block, on_faces]).astype(np.float32)
-    grid = M._knn_grid(M.as_point_array(points), 8)
+    grid = M._knn_grid(M._columns(M.as_point_array(points)), 8)
     assert grid.cell_size == span / 4096.0
     steps = rng.integers(2045, 2060, size=(300, 3)).astype(np.float32)
     queries = np.concatenate(
@@ -265,7 +288,7 @@ def test_knn_retirement_bound_is_tight():
     # the scanned cell 2052.
     units = np.array([[2047.995, 2048.5, 2048.5], [2052.009, 2048.5, 2048.5]])
     points = np.concatenate([corners, cluster, units * cell]).astype(np.float32)
-    assert M._knn_grid(M.as_point_array(points), 1).cell_size == cell
+    assert M._knn_grid(M._columns(M.as_point_array(points)), 1).cell_size == cell
     query = (np.array([[2050.0, 2048.5, 2048.5]]) * cell).astype(np.float32)
     got = M.knn(points, query, k=1)
     assert_knn_identical(got, M.knn_bruteforce(points, query, k=1))

@@ -354,6 +354,43 @@ def test_health_round_trip_carries_worker_telemetry(remote_backend):
         assert warm.value(worker=worker) == report["warm_sessions"]
 
 
+def test_health_prepared_lists_the_plans_the_sessions_hold():
+    """HEALTH's ``prepared`` is read from the sessions' plan caches, so
+    a stream of distinct site sets leaves at most one cache's capacity
+    of warm plans, each one the session still holds."""
+    import asyncio
+    import pickle
+
+    from repro.runtime.worker import ClusterWorker
+
+    spec = b"spec"
+    tensors = [frame(100 + seed) for seed in range(40)]
+    assert len({t.coords_digest() for t in tensors}) == 40
+
+    async def serve_distinct_site_sets():
+        worker = ClusterWorker()
+        blob = pickle.dumps((SSUNet(SMALL_CFG), "float64", None))
+        await worker._spec_sync({"digest": spec, "blob": blob})
+        for tensor in tensors:
+            await worker._execute_batch(
+                {
+                    "spec": spec,
+                    "digest": tensor.coords_digest(),
+                    "coords": tensor.coords,
+                    "shape": tensor.shape,
+                    "features": [tensor.features],
+                }
+            )
+        return worker
+
+    worker = asyncio.run(serve_distinct_site_sets())
+    plans = worker._sessions[spec].plan_cache
+    prepared = worker._health(None)["prepared"]
+    assert len(prepared) == len(plans) == plans.capacity
+    assert prepared == sorted(digest.hex() for digest in plans.site_digests())
+    assert prepared == sorted(t.coords_digest().hex() for t in tensors[-plans.capacity:])
+
+
 def test_health_from_old_worker_without_telemetry_fields():
     """Wire compat: a report lacking the new fields must still land
     (defaults: depth 0, warmth inferred from the spec list)."""
